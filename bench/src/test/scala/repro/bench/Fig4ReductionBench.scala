@@ -1,16 +1,16 @@
 package repro.bench
 
-import repro.core.{ColorfulDegrees, LocalReductions, Reductions}
-import repro.graph.AttributedGraph
+import repro.core.{LocalReductions, Reductions}
 import repro.synth.LiteDatasets
 
 /** Fig 4/5 (tabulated): vertices/edges remaining after EnColorfulCore,
   * ColorfulSup and EnColorfulSup, per dataset and k.
   *
   * The k sweep uses the sequential mirror of the cascade (bit-identical
-  * fixpoints, cross-validated in ReductionsSpec); one distributed
-  * DataFrame cascade runs per dataset at the default k to exercise the
-  * Spark peeling path at bench scale.
+  * fixpoints, cross-validated in ReductionsSpec); one all-DataFrame
+  * cascade (`localEdgeLimit = 0`) runs per dataset at the default k to
+  * exercise the Spark peeling path at bench scale, next to the default
+  * size-switched cascade that `Pipeline.run` uses.
   */
 class Fig4ReductionBench extends BenchHarness {
 
@@ -19,20 +19,8 @@ class Fig4ReductionBench extends BenchHarness {
       val g = BenchData.graph(spark, spec.name)
       val colors = BenchData.colors(spark, spec.name)
       val rows = spec.kRange.map { k =>
-        val kept = ColorfulDegrees.localEnColorfulCoreVertices(g, colors, k - 1)
-        val g1 = g.inducedSubgraph(kept)
-        val c1 = kept.map(colors)
-        val g2full = LocalReductions.colorfulSup(g1, c1, k)
-        val live2 = (0 until g2full.n).filter(g2full.degree(_) > 0).toArray
-        val g2 = g2full.inducedSubgraph(live2)
-        val g3full = LocalReductions.enColorfulSup(g2, live2.map(c1), k)
-        val live3 = (0 until g3full.n).filter(g3full.degree(_) > 0).toArray
-        val g3 = g3full.inducedSubgraph(live3)
-        Seq(k.toString,
-          s"${g.n}/${g.m}",
-          s"${g1.n}/${g1.m}",
-          s"${g2.n}/${g2.m}",
-          s"${g3.n}/${g3.m}")
+        val (_, stats) = LocalReductions.cascade(g, colors, k)
+        Seq(k.toString, s"${g.n}/${g.m}") ++ stats.map(s => s"${s.vertices}/${s.edges}")
       }
       printTable(
         s"Fig 4 — ${spec.name}: vertices/edges remaining",
@@ -49,17 +37,20 @@ class Fig4ReductionBench extends BenchHarness {
   test("Fig 4: distributed DataFrame cascade at default k per dataset") {
     val rows = LiteDatasets.specs.map { spec =>
       val ag = LiteDatasets.load(spark, spec.name)
-      val ((_, _, stats), t) = timed(Reductions.cascade(spark, ag, spec.kDefault))
+      val ((_, stats), t) =
+        timed(Reductions.cascade(spark, ag, spec.kDefault, localEdgeLimit = 0))
+      val ((_, switchedStats), tSwitched) = timed(Reductions.cascade(spark, ag, spec.kDefault))
       val (lgR, localStats, _) = BenchData.reducedGraph(spark, spec.name, spec.kDefault)
-      // distributed and sequential cascades reach the same fixpoint
-      assert(stats.last.edges == localStats.last.edges,
-        s"${spec.name}: distributed=${stats.last.edges} local=${localStats.last.edges}")
+      // distributed, size-switched and sequential cascades reach the same fixpoint
+      assert(stats == localStats && switchedStats == localStats,
+        s"${spec.name}: distributed=$stats switched=$switchedStats local=$localStats")
       assert(lgR.m == stats.last.edges)
       Seq(spec.name, spec.kDefault.toString,
-        stats.map(s => s"${s.vertices}/${s.edges}").mkString(" -> "), ms(t))
+        stats.map(s => s"${s.vertices}/${s.edges}").mkString(" -> "), ms(t), ms(tSwitched))
     }
     printTable("Fig 4 — distributed cascade (vertices/edges per stage)",
-      Seq("dataset", "k", "EnColorfulCore -> ColorfulSup -> EnColorfulSup", "time ms"),
+      Seq("dataset", "k", "EnColorfulCore -> ColorfulSup -> EnColorfulSup", "DataFrame ms",
+        "switched ms"),
       rows)
   }
 }

@@ -22,8 +22,7 @@ object HeuristicJob {
       val k = args.lift(1).map(_.toInt).getOrElse(spec.kDefault)
       val delta = args.lift(2).map(_.toInt).getOrElse(spec.deltaDefault)
       val g = LiteDatasets.load(spark, name)
-      val (reduced, _, _) = Reductions.cascade(spark, g, k)
-      val lg = reduced.toLocal
+      val (lg, _) = Reductions.cascade(spark, g, k)
       val heur = Heuristics.heurRFC(lg, k, delta)
       val exact = Pipeline.searchReduced(spark, lg, k, delta,
         Pipeline.Config(Bounds.BoundConfig(ad = true, colorfulDegeneracy = true),

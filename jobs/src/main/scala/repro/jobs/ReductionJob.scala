@@ -22,7 +22,7 @@ object ReductionJob {
       val k = args.lift(1).map(_.toInt).getOrElse(spec.kDefault)
       val g = LiteDatasets.load(spark, name)
       println(s"dataset=$name n=${g.numVertices} m=${g.numEdges} k=$k")
-      val (_, _, stats) = Reductions.cascade(spark, g, k)
+      val (_, stats) = Reductions.cascade(spark, g, k)
       stats.foreach(s =>
         println(f"  after ${s.stage}%-16s vertices=${s.vertices}%8d edges=${s.edges}%10d"))
     } finally spark.stop()

@@ -104,6 +104,8 @@ object ColorfulDegrees {
       cur = nxt
       round += 1
     }
+    if (changed)
+      throw new IllegalStateException(s"vertex peeling did not reach a fixpoint in $maxIter rounds")
     cur
   }
 

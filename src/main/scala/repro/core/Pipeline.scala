@@ -6,10 +6,14 @@ import repro.graph.{AttributedGraph, LocalGraph}
 
 /** End-to-end maximum fair clique pipeline (Algorithm 2).
   *
-  * 1. Distributed reduction cascade: EnColorfulCore → ColorfulSup →
-  *    EnColorfulSup (one global coloring, DataFrame peeling fixpoints).
-  * 2. Collect the (small) reduced graph; optionally run HeurRFC to seed
-  *    `R*` (the paper's Remark in Section V).
+  * 1. Reduction cascade: EnColorfulCore → ColorfulSup → EnColorfulSup
+  *    with one global coloring (`Reductions.cascade`). Stages peel with
+  *    DataFrames while the live graph has more than
+  *    `Reductions.LocalEdgeLimit` edges and on the driver once it fits;
+  *    the input is collected once, and the reduced graph comes back as a
+  *    `LocalGraph`.
+  * 2. Optionally run HeurRFC on the reduced graph to seed `R*` (the
+  *    paper's Remark in Section V).
   * 3. Branch-and-bound per connected component; components are searched
   *    as parallel Spark tasks (the paper loops over components
   *    sequentially — the per-component searches are independent, so this
@@ -41,9 +45,14 @@ object Pipeline {
   /** Run the full pipeline on a distributed graph. */
   def run(spark: SparkSession, g: AttributedGraph, k: Int, delta: Int,
           config: Config = Config()): Result = {
-    val (reduced, _, stats) = Reductions.cascade(spark, g, k)
-    val lg = reduced.toLocal
-    searchReduced(spark, lg, k, delta, config, stats)
+    checkParams(k, delta)
+    val (reduced, stats) = Reductions.cascade(spark, g, k)
+    searchReduced(spark, reduced, k, delta, config, stats)
+  }
+
+  private def checkParams(k: Int, delta: Int): Unit = {
+    require(k >= 1, s"k must be at least 1, got $k")
+    require(delta >= 0, s"delta must be non-negative, got $delta")
   }
 
   /** Search an already-reduced local graph (used by benches that sweep
@@ -52,6 +61,7 @@ object Pipeline {
   def searchReduced(spark: SparkSession, lg: LocalGraph, k: Int, delta: Int,
                     config: Config,
                     stats: Seq[Reductions.Stats] = Seq.empty): Result = {
+    checkParams(k, delta)
     val heur =
       if (config.useHeuristic) Heuristics.heurRFC(lg, k, delta).clique
       else Array.empty[Int]

@@ -18,7 +18,9 @@ import scala.collection.mutable
   * deletion (DESIGN.md §5.6).
   *
   * `cascade` is Algorithm 2 lines 1–3: EnColorfulCore → ColorfulSup →
-  * EnColorfulSup, with one global coloring computed up front.
+  * EnColorfulSup, with one global coloring computed up front. It peels
+  * with DataFrames while the live graph has more than [[LocalEdgeLimit]]
+  * edges and finishes on the driver (`LocalReductions`) once it fits.
   */
 object Reductions {
 
@@ -82,38 +84,90 @@ object Reductions {
       cur = AttributedGraph(cur.vertices, keptEdges)
       round += 1
     }
+    if (changed)
+      throw new IllegalStateException(s"edge peeling did not reach a fixpoint in $maxIter rounds")
     cur.dropIsolated.checkpointed()
   }
 
   /** Reduction statistics for the Fig 4/5 bench. */
   final case class Stats(stage: String, vertices: Long, edges: Long)
 
-  /** Algorithm 2 lines 1–3. Returns the reduced graph, the coloring used
-    * (also reused by the search), and per-stage statistics.
-    * Coloring is computed sequentially on the driver (identical to the
-    * distributed Jones–Plassmann fixpoint, see Coloring); the peeling
-    * loops are distributed.
+  /** One cascade stage, runnable on either side of the size switch:
+    * `distributed` peels DataFrames, `local` peels on the driver and
+    * returns the surviving graph with its vertices' colors.
     */
-  def cascade(spark: SparkSession, g: AttributedGraph, k: Int):
-      (AttributedGraph, DataFrame, Seq[Stats]) = {
+  private[core] final case class Stage(
+      name: String,
+      distributed: (AttributedGraph, DataFrame, Int) => AttributedGraph,
+      local: (LocalGraph, Array[Int], Int) => (LocalGraph, Array[Int]))
+
+  /** Algorithm 2 lines 1–3, in order. */
+  private[core] val stages: Seq[Stage] = Seq(
+    Stage("EnColorfulCore", (g, c, k) => ColorfulDegrees.enColorfulCore(g, c, k - 1),
+      LocalReductions.enColorfulCoreStep),
+    Stage("ColorfulSup", (g, c, k) => colorfulSupReduce(g, c, k),
+      LocalReductions.colorfulSupStep),
+    Stage("EnColorfulSup", (g, c, k) => enColorfulSupReduce(g, c, k),
+      LocalReductions.enColorfulSupStep))
+
+  /** Live edge count at or under which [[cascade]] runs its remaining
+    * stages on the driver. The driver-side peel (`LocalReductions`) keeps,
+    * per edge, two color-count maps over its common neighbours. Measured on
+    * pokec-lite (179k edges, the densest lite input; k = 2..6; peak live
+    * heap sampled with forced full GCs during `LocalReductions.cascade`)
+    * the peel peaks at 430–550 bytes per input edge on top of the
+    * collected `LocalGraph`'s 47 bytes per edge: about 0.6 GB at this
+    * limit, under a third of a 2 GB driver heap. The same peel takes
+    * 1.3–1.9 s there, while each DataFrame peel round costs seconds of
+    * fixed Spark overhead.
+    */
+  val LocalEdgeLimit: Long = 1000000L
+
+  /** Algorithm 2 lines 1–3: EnColorfulCore → ColorfulSup → EnColorfulSup
+    * with one global coloring, computed on the driver. Returns the reduced
+    * graph (vertices that still carry edges) and per-stage statistics.
+    *
+    * Where each stage runs depends on the live edge count before it: the
+    * input's `m`, then the previous stage's `Stats.edges`. Above
+    * `localEdgeLimit` the stage is a DataFrame peeling fixpoint; at or
+    * under it the graph is collected once and this and every later stage
+    * peel on the driver. Each stage's surviving subgraph is unique
+    * (DESIGN.md §5.6), so the result does not depend on the switch point;
+    * `localEdgeLimit = 0` keeps every non-empty stage distributed.
+    */
+  def cascade(spark: SparkSession, g: AttributedGraph, k: Int,
+              localEdgeLimit: Long = LocalEdgeLimit): (LocalGraph, Seq[Stats]) = {
     import spark.implicits._
     val lg = g.toLocal
     val colorArr = Coloring.greedyLocal(lg)
-    val colors = (0 until lg.n).map(i => (lg.ids(i), colorArr(i)))
+    lazy val colors = (0 until lg.n).map(i => (lg.ids(i), colorArr(i)))
       .toDF("id", "color").localCheckpoint(true)
 
-    val g1 = ColorfulDegrees.enColorfulCore(g, colors, k - 1)
-    val s1 = Stats("EnColorfulCore", g1.numVertices, g1.numEdges)
-    val g2 = colorfulSupReduce(g1, colors, k)
-    val s2 = Stats("ColorfulSup", g2.numVertices, g2.numEdges)
-    val g3 = enColorfulSupReduce(g2, colors, k)
-    val s3 = Stats("EnColorfulSup", g3.numVertices, g3.numEdges)
-    (g3, colors, Seq(s1, s2, s3))
+    var cur = g
+    var live = lg.m
+    var rest = stages
+    val distStats = mutable.ArrayBuffer.empty[Stats]
+    while (rest.nonEmpty && live > localEdgeLimit) {
+      cur = rest.head.distributed(cur, colors, k)
+      distStats += Stats(rest.head.name, cur.numVertices, cur.numEdges)
+      live = distStats.last.edges
+      rest = rest.tail
+    }
+    val (onDriver, driverColors) =
+      if (distStats.isEmpty) (lg, colorArr)
+      else {
+        val index = lg.ids.iterator.zipWithIndex.toMap
+        val collected = cur.toLocal
+        (collected, collected.ids.map(id => colorArr(index(id))))
+      }
+    val (reduced, localStats) = LocalReductions.runStages(rest, onDriver, driverColors, k)
+    (reduced, distStats.toSeq ++ localStats)
   }
 }
 
-/** Driver-side mirrors of the reductions: the incremental priority-queue
-  * peeling of Algorithm 1 (`colorfulSup` / `enColorfulSup`, `O(α·m)`-ish)
+/** Driver-side reductions: the incremental priority-queue peeling of
+  * Algorithm 1 (`colorfulSup` / `enColorfulSup`, `O(α·m)`-ish), which
+  * `Reductions.cascade` runs once the live graph fits under its edge limit,
   * plus simple batch-peeling references (`*Batch`) used to cross-validate
   * them and the distributed fixpoints — all three reach the same unique
   * maximal subgraph.
@@ -252,25 +306,49 @@ object LocalReductions {
     g.withoutEdges(dead.toSet)
   }
 
-  /** Local mirror of the full cascade; keeps the dense index space of `g`
-    * (removed vertices simply lose all edges). Returns the reduced graph
-    * restricted to vertices that still carry edges, plus stage stats.
+  /** EnColorfulCore stage (Lemma 2 at `k − 1`): the subgraph induced by
+    * the surviving vertices, and their colors.
+    */
+  def enColorfulCoreStep(g: LocalGraph, colors: Array[Int], k: Int): (LocalGraph, Array[Int]) = {
+    val kept = ColorfulDegrees.localEnColorfulCoreVertices(g, colors, k - 1)
+    (g.inducedSubgraph(kept), kept.map(colors))
+  }
+
+  /** ColorfulSup stage: [[colorfulSup]] restricted to the vertices that
+    * still carry edges, and their colors.
+    */
+  def colorfulSupStep(g: LocalGraph, colors: Array[Int], k: Int): (LocalGraph, Array[Int]) =
+    withoutIsolated(colorfulSup(g, colors, k), colors)
+
+  /** EnColorfulSup stage: [[enColorfulSup]] restricted to the vertices
+    * that still carry edges, and their colors.
+    */
+  def enColorfulSupStep(g: LocalGraph, colors: Array[Int], k: Int): (LocalGraph, Array[Int]) =
+    withoutIsolated(enColorfulSup(g, colors, k), colors)
+
+  private def withoutIsolated(g: LocalGraph, colors: Array[Int]): (LocalGraph, Array[Int]) = {
+    val live = (0 until g.n).filter(g.degree(_) > 0).toArray
+    (g.inducedSubgraph(live), live.map(colors))
+  }
+
+  /** Runs `stages` in order on the driver, with per-stage statistics. */
+  private[core] def runStages(stages: Seq[Reductions.Stage], g: LocalGraph,
+                              colors: Array[Int], k: Int): (LocalGraph, Seq[Reductions.Stats]) = {
+    var cur = g
+    var curColors = colors
+    val stats = stages.map { stage =>
+      val (next, nextColors) = stage.local(cur, curColors, k)
+      cur = next
+      curColors = nextColors
+      Reductions.Stats(stage.name, cur.n.toLong, cur.m)
+    }
+    (cur, stats)
+  }
+
+  /** The full cascade on the driver. Returns the reduced graph restricted
+    * to vertices that still carry edges, plus stage stats.
     */
   def cascade(g: LocalGraph, colors: Array[Int], k: Int):
-      (LocalGraph, Seq[Reductions.Stats]) = {
-    val kept1 = ColorfulDegrees.localEnColorfulCoreVertices(g, colors, k - 1)
-    val g1 = g.inducedSubgraph(kept1)
-    val c1 = kept1.map(colors)
-    val s1 = Reductions.Stats("EnColorfulCore", g1.n.toLong, g1.m)
-    val g2full = colorfulSup(g1, c1, k)
-    val g2live = (0 until g2full.n).filter(g2full.degree(_) > 0).toArray
-    val g2 = g2full.inducedSubgraph(g2live)
-    val c2 = g2live.map(c1)
-    val s2 = Reductions.Stats("ColorfulSup", g2.n.toLong, g2.m)
-    val g3full = enColorfulSup(g2, c2, k)
-    val g3live = (0 until g3full.n).filter(g3full.degree(_) > 0).toArray
-    val g3 = g3full.inducedSubgraph(g3live)
-    val s3 = Reductions.Stats("EnColorfulSup", g3.n.toLong, g3.m)
-    (g3, Seq(s1, s2, s3))
-  }
+      (LocalGraph, Seq[Reductions.Stats]) =
+    runStages(Reductions.stages, g, colors, k)
 }

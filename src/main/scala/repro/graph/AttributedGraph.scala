@@ -50,12 +50,24 @@ final case class AttributedGraph(vertices: DataFrame, edges: DataFrame) {
   def checkpointed(): AttributedGraph =
     AttributedGraph(AttributedGraph.refreshed(vertices), AttributedGraph.refreshed(edges))
 
-  /** Collect into a [[LocalGraph]] (reduced graphs are small). */
+  /** Collect into a [[LocalGraph]]. Every pipeline input passes through
+    * here, so this is where the input contract is checked: vertex ids are
+    * unique, attributes are 0 or 1, and every edge endpoint has a vertex
+    * row. Anything else is rejected with an `IllegalArgumentException`.
+    */
   def toLocal: LocalGraph = {
-    val attrs = vertices.select("id", "attr").collect()
-      .map(r => r.getLong(0) -> r.getInt(1)).toMap
+    val vs = vertices.select("id", "attr").collect().map(r => r.getLong(0) -> r.getInt(1))
+    val attrs = vs.toMap
+    require(attrs.size == vs.length,
+      s"duplicate vertex id ${vs.groupBy(_._1).collectFirst { case (id, rs) if rs.length > 1 => id }.get}")
+    vs.find { case (_, a) => a != 0 && a != 1 }.foreach { case (id, a) =>
+      throw new IllegalArgumentException(s"vertex $id has attribute $a; attributes must be 0 or 1")
+    }
     val es = edges.select("src", "dst").collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSeq
+    es.find { case (u, v) => !attrs.contains(u) || !attrs.contains(v) }.foreach { case (u, v) =>
+      throw new IllegalArgumentException(s"edge ($u, $v) has an endpoint without a vertex row")
+    }
     LocalGraph.fromEdges(es, attrs)
   }
 }

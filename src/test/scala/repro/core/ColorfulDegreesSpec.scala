@@ -99,6 +99,20 @@ class ColorfulDegreesSpec extends SparkSpec {
     }
   }
 
+  test("vertex peeling that hits maxIter before its fixpoint throws") {
+    import spark.implicits._
+    // a path whose inner vertices see one neighbour of each attribute: the
+    // colorful core at threshold 1 peels it from both ends, one round per layer
+    val attrs = Seq(0, 0, 1, 1, 0, 0, 1, 1).zipWithIndex.map { case (a, i) => (i + 1L) -> a }
+    val lg = LocalGraph.fromEdges((1L until 8L).map(i => (i, i + 1)), attrs.toMap)
+    val colors = Coloring.greedyLocal(lg)
+    val ag = AttributedGraph.fromLocal(spark, lg)
+    val cdf = (0 until lg.n).map(i => (lg.ids(i), colors(i))).toDF("id", "color")
+    val e = intercept[IllegalStateException](ColorfulDegrees.colorfulCore(ag, cdf, 1, maxIter = 1))
+    assert(e.getMessage.contains("did not reach a fixpoint in 1 rounds"))
+    assert(ColorfulDegrees.colorfulCore(ag, cdf, 1).numVertices == 0)
+  }
+
   test("enhanced colorful core is contained in the colorful core") {
     val (lg, colors, _, _) = colored(120, n = 50, p = 0.2)
     for (t <- 1 to 3) {

@@ -1,8 +1,13 @@
 package repro.core
 
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+
 import repro.SparkSpec
-import repro.graph.AttributedGraph
+import repro.graph.{AttributedGraph, LocalGraph}
 import repro.synth.GraphGen
+
+import java.util.concurrent.atomic.AtomicInteger
 
 /** End-to-end pipeline: distributed reductions + parallel component search. */
 class PipelineSpec extends SparkSpec {
@@ -70,5 +75,93 @@ class PipelineSpec extends SparkSpec {
     val res = Pipeline.run(spark, ag, 8, 1, Pipeline.Config())
     assert(res.size == 0)
     assert(res.cliqueIds.isEmpty)
+  }
+
+  /** A small generated graph with materialized inputs, as a caller would
+    * pass them.
+    */
+  private def smallInput(): AttributedGraph = {
+    val g = GraphGen.generate(spark, 300, 1500, Seq(GraphGen.Planted(10, 5)), seed = 41)
+    AttributedGraph(g.vertices.localCheckpoint(true), g.edges.localCheckpoint(true))
+  }
+
+  /** Spark jobs started while `body` runs. */
+  private def jobsDuring[T](body: => T): (T, Int) = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    ListenerBusDrain(sc)
+    sc.addSparkListener(listener)
+    try {
+      val out = body
+      ListenerBusDrain(sc)
+      (out, jobs.get())
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("pipeline equals the all-DataFrame cascade followed by the search") {
+    val g = smallInput()
+    val k = 3; val delta = 2
+    val config = Pipeline.Config(Bounds.BoundConfig(ad = true), useHeuristic = true)
+    val res = Pipeline.run(spark, g, k, delta, config)
+    val (reduced, stats) = Reductions.cascade(spark, g, k, localEdgeLimit = 0)
+    val ref = Pipeline.searchReduced(spark, reduced, k, delta, config, stats)
+    assert(res.cliqueIds.toSeq == ref.cliqueIds.toSeq)
+    assert(res.reductionStats == ref.reductionStats)
+    assert(res.reducedVertices == ref.reducedVertices)
+    assert(res.reducedEdges == ref.reducedEdges)
+    assert(res.size >= 10)
+  }
+
+  test("pipeline on a small graph launches only the input collects and the search") {
+    val g = smallInput()
+    val config = Pipeline.Config(Bounds.BoundConfig(ad = true), useHeuristic = true)
+    val (res, jobs) = jobsDuring(Pipeline.run(spark, g, 3, 2, config))
+    assert(res.size >= 10)
+    assert(jobs <= 5, s"$jobs Spark jobs")
+  }
+
+  private def graphOf(vertices: Seq[(Long, Int)], edges: Seq[(Long, Long)]): AttributedGraph = {
+    import spark.implicits._
+    AttributedGraph(vertices.toDF("id", "attr"), edges.toDF("src", "dst"))
+  }
+
+  private def rejects(input: AttributedGraph, expected: String): Unit = {
+    val e = intercept[IllegalArgumentException](Pipeline.run(spark, input, 1, 1))
+    assert(e.getMessage.contains(expected), e.getMessage)
+  }
+
+  test("pipeline rejects an edge endpoint without a vertex row") {
+    rejects(graphOf(Seq(1L -> 0, 2L -> 1), Seq((1L, 2L), (2L, 3L))),
+      "edge (2, 3) has an endpoint without a vertex row")
+  }
+
+  test("pipeline rejects an attribute outside {0,1}") {
+    rejects(graphOf(Seq(1L -> 0, 2L -> 2), Seq((1L, 2L))),
+      "vertex 2 has attribute 2; attributes must be 0 or 1")
+  }
+
+  test("pipeline rejects a duplicate vertex id") {
+    rejects(graphOf(Seq(1L -> 0, 2L -> 1, 2L -> 0), Seq((1L, 2L))), "duplicate vertex id 2")
+  }
+
+  private def rejectsParams(k: Int, delta: Int, expected: String): Unit = {
+    val g = graphOf(Seq(1L -> 0, 2L -> 1), Seq((1L, 2L)))
+    val lg = LocalGraph.fromEdges(Seq((1L, 2L)), Map(1L -> 0, 2L -> 1))
+    val e1 = intercept[IllegalArgumentException](Pipeline.run(spark, g, k, delta))
+    assert(e1.getMessage.contains(expected), e1.getMessage)
+    val e2 = intercept[IllegalArgumentException](
+      Pipeline.searchReduced(spark, lg, k, delta, Pipeline.Config()))
+    assert(e2.getMessage.contains(expected), e2.getMessage)
+  }
+
+  test("pipeline and searchReduced reject k < 1") {
+    rejectsParams(0, 1, "k must be at least 1, got 0")
+  }
+
+  test("pipeline and searchReduced reject delta < 0") {
+    rejectsParams(1, -1, "delta must be non-negative, got -1")
   }
 }

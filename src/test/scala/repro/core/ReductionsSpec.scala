@@ -118,29 +118,48 @@ class ReductionsSpec extends SparkSpec {
     assert(red.isClique(idx.toSeq))
   }
 
+  test("edge peeling that hits maxIter before its fixpoint throws") {
+    val (lg, colors, ag, cdf) = colored(7)
+    val k = 3
+    val local = LocalReductions.colorfulSup(lg, colors, k)
+    // the peel removes edges, so a second round is needed to confirm the fixpoint
+    assert(local.m < lg.m)
+    val e = intercept[IllegalStateException](Reductions.colorfulSupReduce(ag, cdf, k, maxIter = 1))
+    assert(e.getMessage.contains("did not reach a fixpoint in 1 rounds"))
+    assert(edgeSet(Reductions.colorfulSupReduce(ag, cdf, k)) == localEdgeSet(local))
+  }
+
   test("cascade runs all three stages and reports shrinking stats") {
     val g = GraphGen.generate(spark, 400, 2500,
       Seq(GraphGen.Planted(10, 5)), seed = 77)
-    val (reduced, colorsDf, stats) = Reductions.cascade(spark, g, k = 3)
+    val (reduced, stats) = Reductions.cascade(spark, g, k = 3)
     assert(stats.map(_.stage) ==
       Seq("EnColorfulCore", "ColorfulSup", "EnColorfulSup"))
     assert(stats.head.edges >= stats(1).edges)
     assert(stats(1).edges >= stats(2).edges)
-    assert(reduced.numEdges == stats(2).edges)
+    assert(reduced.m == stats(2).edges)
     // the coloring covers every original vertex
-    assert(colorsDf.count() == 400)
+    assert(Coloring.greedyLocal(g.toLocal).length == 400)
     // the planted clique (size 10, split 5/5) survives k=3 reduction
-    val lgR = reduced.toLocal
-    val best = NaiveRef.maxFairCliqueSize(lgR, 3, 2)
+    val best = NaiveRef.maxFairCliqueSize(reduced, 3, 2)
     assert(best >= 9, s"best=$best") // 5/5 clique allows 5+5 at delta=2
   }
 
   for (seed <- 1 to 4; k <- Seq(2, 3)) {
     test(s"local cascade equals distributed cascade (seed $seed, k=$k)") {
       val (lg, colors, ag, _) = colored(seed + 400, n = 45, p = 0.22)
-      val (dist, _, _) = Reductions.cascade(spark, ag, k)
-      val (loc, _) = LocalReductions.cascade(lg, colors, k)
-      assert(edgeSet(dist) == localEdgeSet(loc))
+      val (loc, locStats) = LocalReductions.cascade(lg, colors, k)
+      // All stages distributed, all on the driver, and every switch point
+      // in between: limit = a stage's edge count switches to the driver
+      // right after the first stage that brings the graph down to it
+      // (after EnColorfulCore whenever that stage removes an edge).
+      val switchPoints = locStats.map(_.edges).distinct.filter(_ < lg.m)
+      assert(switchPoints.nonEmpty, "the cascade removes nothing: no switch point to test")
+      for (limit <- Seq(0L, Long.MaxValue) ++ switchPoints) {
+        val (red, stats) = Reductions.cascade(spark, ag, k, localEdgeLimit = limit)
+        assert(localEdgeSet(red) == localEdgeSet(loc), s"limit $limit")
+        assert(stats == locStats, s"limit $limit")
+      }
     }
   }
 }
