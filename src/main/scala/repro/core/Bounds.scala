@@ -109,19 +109,22 @@ object Bounds {
     maxLen
   }
 
-  /** Per-instance color statistics used by the `ub_AD` group. */
+  /** Per-instance color statistics used by the `ub_AD` group:
+    * (colors, colors on attribute a, colors on attribute b, colors only on
+    * a, colors only on b, colors on both); `colors` are non-negative.
+    */
   private def colorStats(g: LocalGraph, colors: Array[Int]): (Int, Int, Int, Int, Int, Int) = {
-    val all = colors.distinct.length
-    val colA = (0 until g.n).filter(g.attr(_) == 0).map(colors).distinct.length
-    val colB = (0 until g.n).filter(g.attr(_) == 1).map(colors).distinct.length
+    // flags(c): bit 0 if color c is on an a-vertex, bit 1 if on a b-vertex
+    val flags = new Array[Int](if (g.n == 0) 0 else colors.max + 1)
+    (0 until g.n).foreach(v => flags(colors(v)) |= (if (g.attr(v) == 0) 1 else 2))
     var cA = 0; var cB = 0; var cM = 0
-    colors.distinct.foreach { c =>
-      val attrs = (0 until g.n).filter(colors(_) == c).map(g.attr).distinct
-      if (attrs.length == 2) cM += 1
-      else if (attrs.headOption.contains(0)) cA += 1
-      else cB += 1
+    flags.foreach {
+      case 1 => cA += 1
+      case 2 => cB += 1
+      case 3 => cM += 1
+      case _ =>
     }
-    (all, colA, colB, cA, cB, cM)
+    (cA + cB + cM, cA + cM, cB + cM, cA, cB, cM)
   }
 
   /** Evaluate the configured bounds on the subgraph induced by a search

@@ -194,39 +194,128 @@ object ColorfulDegrees {
   def colorfulCorePeelOrder(g: LocalGraph, colors: Array[Int]): Array[Int] =
     colorfulCoreDecomposition(g, colors)._2
 
-  /** (core numbers, peel order) of the colorful core decomposition. */
+  /** (core numbers, peel order) of the colorful core decomposition:
+    * repeatedly remove the alive vertex with the smallest `(D_min, id)`.
+    * `colors` are non-negative and small, such as a greedy coloring's.
+    *
+    * Every vertex counts its alive neighbours per `(color, attr)` class;
+    * each adjacency entry knows its class counter and its position in the
+    * other endpoint's (sorted) list, so a removal updates a neighbour's
+    * `D_min` in O(1). Alive vertices sit in one bitset bucket per `D_min`
+    * value; the next vertex is the lowest set bit of the lowest non-empty
+    * bucket. O(m + n·(c + n/64)) for `c` colors, against O(n²) for a scan.
+    */
   def colorfulCoreDecomposition(g: LocalGraph, colors: Array[Int]): (Array[Int], Array[Int]) = {
-    val alive = Array.fill(g.n)(true)
-    // color multiplicity per (vertex, attr, color) so D_min updates in O(1)
-    val cnt = Array.fill(g.n)(Array(mutable.HashMap.empty[Int, Int], mutable.HashMap.empty[Int, Int]))
-    val dmin = new Array[Int](g.n)
-    (0 until g.n).foreach { u =>
-      g.adj(u).foreach { v =>
-        val mapv = cnt(u)(g.attr(v))
-        mapv.updateWith(colors(v))(o => Some(o.getOrElse(0) + 1))
+    val n = g.n
+    // adjacency entry e = start(u) + j is u's j-th neighbour
+    val start = new Array[Int](n + 1)
+    var u = 0
+    while (u < n) { start(u + 1) = start(u) + g.degree(u); u += 1 }
+    // rev(e): position of u in its j-th neighbour's list (lists are sorted,
+    // so the entries pointing at w fill adj(w) in ascending u)
+    val rev = new Array[Int](start(n))
+    val filled = new Array[Int](n)
+    var maxColor = -1
+    u = 0
+    while (u < n) {
+      val nb = g.adj(u)
+      var j = 0
+      while (j < nb.length) {
+        rev(start(u) + j) = filled(nb(j))
+        filled(nb(j)) += 1
+        j += 1
       }
-      dmin(u) = math.min(cnt(u)(0).size, cnt(u)(1).size)
+      maxColor = math.max(maxColor, colors(u))
+      u += 1
     }
-    val ccore = new Array[Int](g.n)
-    val order = new Array[Int](g.n)
-    var cur = 0
-    var removedCount = 0
-    while (removedCount < g.n) {
-      val u = (0 until g.n).filter(alive).minBy(v => (dmin(v), v))
-      cur = math.max(cur, dmin(u))
-      ccore(u) = cur
-      order(removedCount) = u
-      alive(u) = false
-      removedCount += 1
-      g.adj(u).foreach { v =>
-        if (alive(v)) {
-          val mapv = cnt(v)(g.attr(u))
-          val left = mapv(colors(u)) - 1
-          if (left == 0) {
-            mapv.remove(colors(u))
-            dmin(v) = math.min(cnt(v)(0).size, cnt(v)(1).size)
-          } else mapv(colors(u)) = left
+    // counter(e): u's counter of the class of its j-th neighbour; alive(c)
+    // is how many of u's alive neighbours are in class counter c
+    val counter = new Array[Int](start(n))
+    val alive = new Array[Int](start(n))
+    // distinct neighbour colors per attribute: dist(2u) for a, dist(2u + 1) for b
+    val dist = new Array[Int](2 * n)
+    val dmin = new Array[Int](n)
+    val owner = Array.fill(2 * (maxColor + 1))(-1)
+    val ownerCounter = new Array[Int](owner.length)
+    var counters = 0
+    var maxDmin = 0
+    u = 0
+    while (u < n) {
+      val nb = g.adj(u)
+      var j = 0
+      while (j < nb.length) {
+        val c = 2 * colors(nb(j)) + g.attr(nb(j))
+        if (owner(c) != u) {
+          owner(c) = u
+          ownerCounter(c) = counters
+          counters += 1
+          dist(2 * u + g.attr(nb(j))) += 1
         }
+        counter(start(u) + j) = ownerCounter(c)
+        alive(ownerCounter(c)) += 1
+        j += 1
+      }
+      dmin(u) = math.min(dist(2 * u), dist(2 * u + 1))
+      maxDmin = math.max(maxDmin, dmin(u))
+      u += 1
+    }
+
+    // bucket d holds the alive vertices with D_min = d as bits
+    // bits(d * words until (d + 1) * words); none lies below word low(d)
+    val words = (n + 63) >>> 6
+    val bits = new Array[Long]((maxDmin + 1) * words)
+    val size = new Array[Int](maxDmin + 1)
+    val lowWord = Array.fill(maxDmin + 1)(words)
+    def insert(v: Int, d: Int): Unit = {
+      bits(d * words + (v >>> 6)) |= 1L << v
+      size(d) += 1
+      lowWord(d) = math.min(lowWord(d), v >>> 6)
+    }
+    def remove(v: Int, d: Int): Unit = {
+      bits(d * words + (v >>> 6)) &= ~(1L << v)
+      size(d) -= 1
+    }
+    u = 0
+    while (u < n) { insert(u, dmin(u)); u += 1 }
+
+    val removed = new Array[Boolean](n)
+    val ccore = new Array[Int](n)
+    val order = new Array[Int](n)
+    var low = 0
+    var cur = 0
+    var r = 0
+    while (r < n) {
+      while (size(low) == 0) low += 1
+      var w = lowWord(low)
+      while (bits(low * words + w) == 0) w += 1
+      lowWord(low) = w
+      u = (w << 6) | java.lang.Long.numberOfTrailingZeros(bits(low * words + w))
+      remove(u, low)
+      removed(u) = true
+      cur = math.max(cur, low)
+      ccore(u) = cur
+      order(r) = u
+      r += 1
+      val nb = g.adj(u)
+      val au = g.attr(u)
+      var j = 0
+      while (j < nb.length) {
+        val v = nb(j)
+        if (!removed(v)) {
+          val c = counter(start(v) + rev(start(u) + j))
+          alive(c) -= 1
+          if (alive(c) == 0) {
+            dist(2 * v + au) -= 1
+            val nd = math.min(dist(2 * v), dist(2 * v + 1))
+            if (nd != dmin(v)) {
+              remove(v, dmin(v))
+              insert(v, nd)
+              dmin(v) = nd
+              low = math.min(low, nd)
+            }
+          }
+        }
+        j += 1
       }
     }
     (ccore, order)

@@ -19,11 +19,25 @@ object Coloring {
 
   /** Sequential greedy coloring; returns colors indexed by internal id. */
   def greedyLocal(g: LocalGraph): Array[Int] = {
-    val order = (0 until g.n).sortBy(v => (-g.degree(v), g.ids(v)))
+    val order = Array.range(0, g.n).sortBy(v => (-g.degree(v), g.ids(v)))
     val color = Array.fill(g.n)(-1)
-    order.foreach { v =>
-      val used = g.adj(v).iterator.map(color).filter(_ >= 0).toSet
-      color(v) = Iterator.from(0).find(c => !used.contains(c)).get
+    // used(c) == s marks color c as taken by a neighbour of the s-th vertex;
+    // a vertex of degree d gets a color <= d, so larger ones never block
+    val used = new Array[Int](g.maxDegree + 1)
+    var s = 0
+    while (s < order.length) {
+      val v = order(s)
+      s += 1
+      val nb = g.adj(v)
+      var j = 0
+      while (j < nb.length) {
+        val c = color(nb(j))
+        if (c >= 0 && c <= nb.length) used(c) = s
+        j += 1
+      }
+      var c = 0
+      while (used(c) == s) c += 1
+      color(v) = c
     }
     color
   }

@@ -60,13 +60,50 @@ final class LocalGraph(
     out.result()
   }
 
-  /** Subgraph induced by the internal vertices in `keep` (re-indexed). */
+  /** Subgraph induced by the distinct internal vertices in `keep`,
+    * re-indexed in ascending order of their internal index.
+    */
   def inducedSubgraph(keep: Array[Int]): LocalGraph = {
     val sortedKeep = keep.sorted
-    val remap = new mutable.HashMap[Int, Int]
-    sortedKeep.iterator.zipWithIndex.foreach { case (v, i) => remap(v) = i }
-    val newAdj = sortedKeep.map { v =>
-      intersectNeighbors(v, sortedKeep).map(remap)
+    require((1 until sortedKeep.length).forall(i => sortedKeep(i - 1) != sortedKeep(i)),
+      "inducedSubgraph: keep repeats a vertex")
+    induced(sortedKeep, v => java.util.Arrays.binarySearch(sortedKeep, v))
+  }
+
+  /** [[inducedSubgraph]] of the distinct, ascending `sortedKeep`, re-indexed
+    * through `pos`: scratch of length `n` that must hold -1 everywhere and
+    * does again on return. O(sum of kept degrees), for callers that build
+    * many small subgraphs of one graph.
+    */
+  def inducedSubgraph(sortedKeep: Array[Int], pos: Array[Int]): LocalGraph = {
+    var i = 0
+    while (i < sortedKeep.length) { pos(sortedKeep(i)) = i; i += 1 }
+    val sub = induced(sortedKeep, v => pos(v))
+    i = 0
+    while (i < sortedKeep.length) { pos(sortedKeep(i)) = -1; i += 1 }
+    sub
+  }
+
+  // `index(v)` is v's new index, negative for vertices left out; it
+  // increases with v, so the new adjacency lists stay sorted
+  private def induced(sortedKeep: Array[Int], index: Int => Int): LocalGraph = {
+    val newAdj = new Array[Array[Int]](sortedKeep.length)
+    var i = 0
+    var maxDeg = 0
+    while (i < sortedKeep.length) { maxDeg = math.max(maxDeg, degree(sortedKeep(i))); i += 1 }
+    val buf = new Array[Int](maxDeg)
+    i = 0
+    while (i < sortedKeep.length) {
+      val nb = adj(sortedKeep(i))
+      var len = 0
+      var j = 0
+      while (j < nb.length) {
+        val t = index(nb(j))
+        if (t >= 0) { buf(len) = t; len += 1 }
+        j += 1
+      }
+      newAdj(i) = java.util.Arrays.copyOf(buf, len)
+      i += 1
     }
     new LocalGraph(sortedKeep.map(ids), sortedKeep.map(attr), newAdj)
   }

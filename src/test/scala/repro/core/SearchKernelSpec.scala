@@ -1,0 +1,102 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+
+import repro.graph.{Coloring, LocalGraph}
+import repro.synth.GraphGen
+
+import scala.util.Random
+
+/** The bitset component search visits the same tree as the list-based
+  * reference kernel (`SearchReference`): same node count, same bound
+  * prunes, same truncation and the same clique, vertex for vertex.
+  */
+class SearchKernelSpec extends AnyFunSuite {
+
+  private val seeds = 1 to 40
+
+  // "250+K80" plants a balanced 80-clique in sparse noise, so root candidate
+  // sets span two bitset words; the plain random graphs keep below 64
+  private val graphs = Seq("30", "120", "250", "250+K80")
+
+  private def graph(name: String, seed: Int): LocalGraph = name match {
+    case "30" => GraphGen.randomLocal(30, 0.4, seed)
+    case "120" => GraphGen.randomLocal(120, 0.25, seed + 1000)
+    case "250" => GraphGen.randomLocal(250, 0.2, seed + 2000)
+    case "250+K80" =>
+      GraphGen.randomLocalWithClique(250, 0.08, GraphGen.Planted(80, 40), seed + 3000)._1
+  }
+
+  private def sameTree(g: LocalGraph, k: Int, delta: Int, cfg: Bounds.BoundConfig,
+                       globalBest: Int, nodeLimit: Long, label: String): Search.Result = {
+    val want = SearchReference.searchComponent(g, k, delta, cfg, globalBest, nodeLimit)
+    val got = Search.searchComponent(g, k, delta, cfg, globalBest, nodeLimit)
+    assert(got.nodes == want.nodes, s"$label: nodes")
+    assert(got.prunedByBound == want.prunedByBound, s"$label: prunedByBound")
+    assert(got.truncated == want.truncated, s"$label: truncated")
+    assert(got.clique.toSeq == want.clique.toSeq, s"$label: clique")
+    want
+  }
+
+  for (n <- graphs;
+       (name, cfg) <- ("none" -> Bounds.BoundConfig.none) +: Bounds.BoundConfig.table2) {
+    test(s"bitset search visits the reference tree (n=$n, $name)") {
+      var bounded = 0L
+      for (seed <- seeds) {
+        val g = graph(n, seed)
+        for (k <- 1 to 3; delta <- 1 to 3) {
+          // odd seeds start from the HeurRFC incumbent, as the pipeline does
+          val start = if (seed % 2 == 1) Heuristics.heurRFC(g, k, delta).clique.length else 0
+          bounded += sameTree(g, k, delta, cfg, start, Long.MaxValue,
+            s"seed=$seed k=$k d=$delta best=$start").prunedByBound
+        }
+      }
+      // the larger random graphs have roots with >= 32 candidates, where
+      // bounds run; the planted clique outgrows every bound
+      if ((n == "120" || n == "250") && cfg.any) assert(bounded > 0, "no bound ever pruned")
+    }
+  }
+
+  test("bitset search truncates at the same node as the reference") {
+    var cut = 0
+    for (n <- graphs; seed <- seeds.take(10); k <- 1 to 2) {
+      val g = graph(n, seed)
+      val full = SearchReference.searchComponent(g, k, 2, Bounds.BoundConfig.none, 0)
+      if (full.nodes > 2) {
+        val res = sameTree(g, k, 2, Bounds.BoundConfig.none, 0, full.nodes / 2,
+          s"n=$n seed=$seed k=$k")
+        assert(res.truncated)
+        cut += 1
+      }
+    }
+    assert(cut >= 40)
+  }
+
+  test("bucket-queue colorful core decomposition equals the minBy scan") {
+    for (n <- graphs; seed <- seeds) {
+      val g = graph(n, seed)
+      // the greedy coloring, and a random improper one with repeated colors
+      val rnd = new Random(seed)
+      for (colors <- Seq(Coloring.greedyLocal(g), Array.fill(g.n)(rnd.nextInt(6)))) {
+        val (core, order) = ColorfulDegrees.colorfulCoreDecomposition(g, colors)
+        val (refCore, refOrder) = SearchReference.colorfulCoreDecomposition(g, colors)
+        assert(core.toSeq == refCore.toSeq, s"n=$n seed=$seed: core numbers")
+        assert(order.toSeq == refOrder.toSeq, s"n=$n seed=$seed: peel order")
+      }
+    }
+  }
+
+  test("a hub with 50k same-attribute leaves costs one node and no bitset rows") {
+    val leaves = 50000
+    val g = new LocalGraph(
+      Array.tabulate(leaves + 1)(_.toLong),
+      new Array[Int](leaves + 1),
+      Array.tabulate(leaves + 1)(v => if (v == 0) Array.range(1, leaves + 1) else Array(0)))
+    val t0 = System.nanoTime()
+    val res = Search.maxRFC(g, k = 2, delta = 1)
+    val secs = (System.nanoTime() - t0) / 1e9
+    assert(res.size == 0 && !res.truncated)
+    assert(res.nodes == 1)
+    assert(secs < 1.0, s"took $secs s")
+  }
+}

