@@ -14,21 +14,23 @@ import repro.graph.{AttributedGraph, LocalGraph}
   *    `LocalGraph`.
   * 2. Optionally run HeurRFC on the reduced graph to seed `R*` (the
   *    paper's Remark in Section V).
-  * 3. Branch-and-bound per connected component; components are searched
-  *    as parallel Spark tasks (the paper loops over components
-  *    sequentially — the per-component searches are independent, so this
-  *    is a pure parallelization). Each task starts from the heuristic
-  *    incumbent size; the global best is the max over tasks.
+  * 3. Branch-and-bound (`Search.maxRFC`) on the driver: components one
+  *    after another, the root branches of each searched by parallel
+  *    threads that share one live incumbent. The clique is the one the
+  *    one-thread search returns (`Search.maxRFC` explains the tie rule).
   */
 object Pipeline {
 
   /** Pipeline configuration: which upper bounds the search evaluates at
-    * top-level branches and whether HeurRFC seeds the incumbent.
+    * top-level branches, whether HeurRFC seeds the incumbent, and whether
+    * the search runs on parallel threads.
     */
   final case class Config(
       bounds: Bounds.BoundConfig = Bounds.BoundConfig.none,
       useHeuristic: Boolean = false,
-      /** search components as Spark tasks (true) or on the driver. */
+      /** search on `min(defaultParallelism, cores)` driver threads (true) or
+        * on the calling thread only; the clique is the same.
+        */
       distributedSearch: Boolean = true)
 
   /** Result: external vertex ids of the optimum, sizes and search stats. */
@@ -38,6 +40,9 @@ object Pipeline {
       reducedEdges: Long,
       heuristicSize: Int,
       nodes: Long,
+      prunedByBound: Long,
+      /** a search budget cut the search short: the clique is a lower bound */
+      truncated: Boolean,
       reductionStats: Seq[Reductions.Stats]) {
     def size: Int = cliqueIds.length
   }
@@ -65,36 +70,12 @@ object Pipeline {
     val heur =
       if (config.useHeuristic) Heuristics.heurRFC(lg, k, delta).clique
       else Array.empty[Int]
-    val heurIds = heur.map(i => lg.ids(i))
-
-    val comps = lg.connectedComponents
-      .filter(_.length >= math.max(2 * k, heur.length + 1))
-      .map(c => lg.inducedSubgraph(c))
-
-    val (bestIds, nodes): (Array[Long], Long) =
-      if (comps.isEmpty) (heurIds, 0L)
-      else {
-        val k0 = k; val d0 = delta; val b0 = config.bounds; val seed0 = heur.length
-        val results: Seq[(Array[Long], Long)] =
-          if (config.distributedSearch) {
-            spark.sparkContext
-              .parallelize(comps, math.min(comps.length, 64))
-              .map { sub =>
-                val r = Search.searchComponent(sub, k0, d0, b0, seed0)
-                (r.clique.map(i => sub.ids(i)), r.nodes)
-              }
-              .collect().toSeq
-          } else {
-            comps.map { sub =>
-              val r = Search.searchComponent(sub, k0, d0, b0, seed0)
-              (r.clique.map(i => sub.ids(i)), r.nodes)
-            }
-          }
-        val totalNodes = results.map(_._2).sum
-        val winner = results.map(_._1).maxBy(_.length)
-        (if (winner.length > heurIds.length) winner else heurIds, totalNodes)
-      }
-
-    Result(bestIds.sorted, lg.n.toLong, lg.m, heurIds.length, nodes, stats)
+    val parallelism =
+      if (config.distributedSearch)
+        math.min(spark.sparkContext.defaultParallelism, Runtime.getRuntime.availableProcessors)
+      else 1
+    val res = Search.maxRFC(lg, k, delta, config.bounds, heur, parallelism = parallelism)
+    Result(res.clique.map(lg.ids).sorted, lg.n.toLong, lg.m, heur.length, res.nodes,
+      res.prunedByBound, res.truncated, stats)
   }
 }

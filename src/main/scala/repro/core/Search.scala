@@ -2,6 +2,9 @@ package repro.core
 
 import repro.graph.{Coloring, LocalGraph}
 
+import java.util.concurrent.{LinkedBlockingQueue, ThreadPoolExecutor, TimeUnit}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+
 import scala.collection.mutable
 
 /** The maximum fair clique branch-and-bound (Algorithms 2–3).
@@ -33,34 +36,293 @@ object Search {
 
   /** Complete maximum fair clique search over `g`.
     *
+    * Components are searched one after another. Within a component,
+    * `parallelism` workers (the calling thread and helper threads) claim
+    * root branches in peel order and prune against one incumbent that
+    * they all read live, so a large clique found at a late root prunes an
+    * expensive earlier root that is still running (McCreesh & Prosser,
+    * "Multi-threading a state-of-the-art maximum clique algorithm", 2013;
+    * the root-branch split is that of Chang, KDD 2019).
+    *
+    * The clique does not depend on thread timing: a root may only tie the
+    * incumbent when the incumbent was found at a later root, so the search
+    * returns the first optimum in (component, peel) order, the one the
+    * one-thread search returns. Node and prune counts are those of the
+    * one-thread search at `parallelism` 1 only.
+    *
     * @param initialBest a known fair clique (e.g. from HeurRFC) used to
     *                    seed `R*` for pruning; must be fair in `g`.
-    * @param nodeLimit   abort (per component) after this many search nodes;
-    *                    the result is then a lower bound flagged truncated.
+    * @param nodeLimit   abort after this many search nodes in a component,
+    *                    counted over all its workers; the result is then a
+    *                    lower bound flagged truncated.
+    * @param parallelism threads searching each component; 1 searches on the
+    *                    calling thread only.
     */
   def maxRFC(g: LocalGraph, k: Int, delta: Int,
              bounds: Bounds.BoundConfig = Bounds.BoundConfig.none,
              initialBest: Array[Int] = Array.empty,
-             nodeLimit: Long = Long.MaxValue): Result = {
-    var best = initialBest
+             nodeLimit: Long = Long.MaxValue,
+             parallelism: Int = 1): Result = {
+    require(parallelism >= 1, s"parallelism must be at least 1, got $parallelism")
+    val best = new Incumbent(initialBest, initialBest.length)
     var nodes = 0L
     var prunedByBound = 0L
     var truncated = false
-
-    g.connectedComponents.foreach { comp =>
-      if (comp.length >= math.max(2 * k, best.length + 1) && !truncated) {
-        val sub = g.inducedSubgraph(comp)
-        val res = searchComponent(sub, k, delta, bounds, best.length, nodeLimit)
-        nodes += res.nodes
-        prunedByBound += res.prunedByBound
-        truncated ||= res.truncated
-        if (res.size > best.length) best = res.clique.map(comp)
+    // roots are numbered in search order across components from 1; the
+    // seed clique has order 0
+    var firstOrder = 1
+    val comps = g.connectedComponents.iterator
+    // shared by the component copies; connectedComponents lists each
+    // component ascending, as the pos overload of inducedSubgraph needs
+    lazy val pos = Array.fill(g.n)(-1)
+    while (comps.hasNext && !truncated) {
+      val comp = comps.next()
+      if (comp.length >= math.max(2 * k, best.size + 1)) {
+        // a component holding every vertex is g itself, and comp(v) == v
+        val sub = if (comp.length == g.n) g else g.inducedSubgraph(comp, pos)
+        val search = new ComponentSearch(new PeelOrder(sub), comp, k, delta, bounds,
+          nodeLimit, best, firstOrder)
+        search.run(parallelism)
+        nodes += search.nodes
+        prunedByBound += search.prunedByBound
+        truncated = search.stopped
       }
+      firstOrder += comp.length
     }
-    Result(best, nodes, prunedByBound, truncated)
+    Result(best.clique, nodes, prunedByBound, truncated)
   }
 
-  /** Search one connected component (internal ids of `sub`).
+  /** Search one connected component `sub` on the calling thread, starting
+    * from an incumbent of size `globalBest`; the clique (internal ids of
+    * `sub`) is empty unless the search beat it.
+    */
+  private[core] def searchComponent(sub: LocalGraph, k: Int, delta: Int,
+                                    bounds: Bounds.BoundConfig,
+                                    globalBest: Int,
+                                    nodeLimit: Long = Long.MaxValue): Result = {
+    val best = new Incumbent(Array.empty, globalBest)
+    val search = new ComponentSearch(new PeelOrder(sub), Array.range(0, sub.n), k, delta,
+      bounds, nodeLimit, best, 1)
+    search.run(1)
+    Result(if (best.size > globalBest) best.clique else Array.empty,
+      search.nodes, search.prunedByBound, search.stopped)
+  }
+
+  private def keyOf(size: Int, order: Int): Long = (size.toLong << 32) | (Int.MaxValue - order)
+
+  /** The best fair clique found so far, shared by the workers of a search.
+    * `key` packs its size and the order of the root that found it, so that
+    * a greater key is a better incumbent: larger, or as large and found at
+    * an earlier root.
+    */
+  private final class Incumbent(seed: Array[Int], seedSize: Int) {
+    private val key = new AtomicLong(keyOf(seedSize, 0))
+    private var best = seed // guarded by this
+
+    def size: Int = (key.get >>> 32).toInt
+
+    def clique: Array[Int] = synchronized(best)
+
+    /** The size a clique found at root `order` must exceed to replace the
+      * incumbent: the incumbent's size, less one if it was found at a later
+      * root (the tie rule).
+      */
+    def bar(order: Int): Int = {
+      val cur = key.get
+      val size = (cur >>> 32).toInt
+      if (keyOf(size, order) > cur) size - 1 else size
+    }
+
+    def offer(size: Int, order: Int, found: => Array[Int]): Unit = synchronized {
+      val offered = keyOf(size, order)
+      if (offered > key.get) { best = found; key.set(offered) }
+    }
+  }
+
+  /** The colorful-core peel order of a component `sub` and, for every
+    * rank `r`, the ranks of the later neighbours of `peel(r)` in ascending
+    * order: root `r`'s candidates. Read-only once built.
+    */
+  private[core] final class PeelOrder(val sub: LocalGraph) {
+    val n: Int = sub.n
+    val peel: Array[Int] = ColorfulDegrees.colorfulCorePeelOrder(sub, Coloring.greedyLocal(sub))
+    val rank: Array[Int] = new Array[Int](n)
+    /** attribute of `peel(r)` */
+    val attr: Array[Int] = new Array[Int](n)
+    val later: Array[Array[Int]] = new Array[Array[Int]](n)
+
+    locally {
+      var r = 0
+      while (r < n) { rank(peel(r)) = r; attr(r) = sub.attr(peel(r)); r += 1 }
+      val fill = new Array[Int](n)
+      var v = 0
+      while (v < n) {
+        val nb = sub.adj(v)
+        var j = 0
+        while (j < nb.length) { if (rank(nb(j)) > rank(v)) fill(rank(v)) += 1; j += 1 }
+        v += 1
+      }
+      r = 0
+      while (r < n) { later(r) = new Array[Int](fill(r)); fill(r) = 0; r += 1 }
+      // visiting ranks in ascending order keeps every list sorted
+      r = 0
+      while (r < n) {
+        val nb = sub.adj(peel(r))
+        var j = 0
+        while (j < nb.length) {
+          val e = rank(nb(j))
+          if (e < r) { later(e)(fill(e)) = r; fill(e) += 1 }
+          j += 1
+        }
+        r += 1
+      }
+    }
+
+    /** The subgraph of `sub` induced by `peel(r)` and its candidates, as
+      * `sub.inducedSubgraph` builds it (ascending internal index, sorted
+      * adjacency), read from the later-neighbour lists: each edge is found
+      * once, from its earlier endpoint, instead of by scanning every kept
+      * vertex's whole adjacency. `pos` is scratch of length `n` that holds
+      * -1 everywhere, and does again on return.
+      */
+    def instance(r: Int, pos: Array[Int]): LocalGraph = {
+      val cands = later(r)
+      val size = cands.length + 1
+      val keep = new Array[Int](size)
+      keep(0) = peel(r)
+      var i = 1
+      while (i < size) { keep(i) = peel(cands(i - 1)); i += 1 }
+      java.util.Arrays.sort(keep)
+      i = 0
+      while (i < size) { pos(rank(keep(i))) = i; i += 1 }
+      // each vertex's neighbours, unsorted, in nb(start(i) until start(i + 1))
+      val start = new Array[Int](size + 1)
+      i = 0
+      while (i < size) {
+        val nb = later(rank(keep(i)))
+        var j = 0
+        while (j < nb.length) {
+          val t = pos(nb(j))
+          if (t >= 0) { start(i + 1) += 1; start(t + 1) += 1 }
+          j += 1
+        }
+        i += 1
+      }
+      i = 0
+      while (i < size) { start(i + 1) += start(i); i += 1 }
+      val fill = java.util.Arrays.copyOf(start, size)
+      val nb = new Array[Int](start(size))
+      i = 0
+      while (i < size) {
+        val ln = later(rank(keep(i)))
+        var j = 0
+        while (j < ln.length) {
+          val t = pos(ln(j))
+          if (t >= 0) {
+            nb(fill(i)) = t; fill(i) += 1
+            nb(fill(t)) = i; fill(t) += 1
+          }
+          j += 1
+        }
+        i += 1
+      }
+      i = 0
+      while (i < size) { pos(rank(keep(i))) = -1; i += 1 }
+      // listing each i as a neighbour of its neighbours, i ascending, sorts
+      // every list
+      val adj = Array.tabulate(size)(t => new Array[Int](start(t + 1) - start(t)))
+      val len = new Array[Int](size)
+      i = 0
+      while (i < size) {
+        var e = start(i)
+        while (e < start(i + 1)) { val t = nb(e); adj(t)(len(t)) = i; len(t) += 1; e += 1 }
+        i += 1
+      }
+      new LocalGraph(keep.map(sub.ids), keep.map(sub.attr), adj)
+    }
+  }
+
+  /** Helper threads of parallel searches, one per core, created on first
+    * use. They are daemon threads, so a search never keeps the JVM alive,
+    * and idle ones exit.
+    */
+  private lazy val pool: ThreadPoolExecutor = {
+    val threads = Runtime.getRuntime.availableProcessors
+    val made = new AtomicInteger
+    val p = new ThreadPoolExecutor(threads, threads, 30L, TimeUnit.SECONDS,
+      new LinkedBlockingQueue[Runnable], (task: Runnable) => {
+        val t = new Thread(task, s"maxrfc-helper-${made.incrementAndGet()}")
+        t.setDaemon(true)
+        t
+      })
+    p.allowCoreThreadTimeOut(true)
+    p
+  }
+
+  /** The search of one component: its workers claim roots from `nextRoot`
+    * and add the nodes they visit to `nodesSpent`, the budget count. The
+    * incumbent holds ids `toG(v)` for vertices `v` of the component; root
+    * `r` has order `firstOrder + r`.
+    */
+  private final class ComponentSearch(val peelOrder: PeelOrder, val toG: Array[Int], val k: Int,
+                                      val delta: Int, val bounds: Bounds.BoundConfig,
+                                      val nodeLimit: Long, val best: Incumbent,
+                                      val firstOrder: Int) {
+    val nextRoot = new AtomicInteger
+    val nodesSpent = new AtomicLong
+    /** set once the budget is spent or a worker failed: workers stop */
+    @volatile var stopped = false
+
+    // totals of the finished workers and the helper hand-off, guarded by this
+    var nodes = 0L
+    var prunedByBound = 0L
+    private var active = 0
+    private var closed = false
+    private var failure: Throwable = null
+
+    def run(parallelism: Int): Unit = {
+      val helpers =
+        if (parallelism == 1) 0
+        else math.min(parallelism - 1, math.min(pool.getMaximumPoolSize, peelOrder.n - 1))
+      var h = 0
+      while (h < helpers) { pool.execute(() => help()); h += 1 }
+      work()
+      // helpers that have not started yet find `closed` and return at once,
+      // so the caller waits only for running ones
+      synchronized {
+        closed = true
+        try while (active > 0) wait()
+        catch { case e: InterruptedException => stopped = true; throw e }
+      }
+      if (failure != null) throw failure
+    }
+
+    private def help(): Unit = {
+      val joined = synchronized { if (!closed) active += 1; !closed }
+      if (joined) {
+        try work()
+        finally synchronized { active -= 1; if (active == 0) notifyAll() }
+      }
+    }
+
+    private def work(): Unit = {
+      val w = new Worker(this)
+      try w.run()
+      catch {
+        case t: Throwable =>
+          stopped = true
+          synchronized { if (failure == null) failure = t }
+      }
+      synchronized { nodes += w.nodes; prunedByBound += w.prunedByBound }
+    }
+  }
+
+  /** Nodes a worker counts before adding them to its component's budget
+    * count; at parallelism 1 the budget stays exact.
+    */
+  private val FlushEvery = 1024
+
+  /** One thread's search of the roots it claims.
     *
     * Root `u`'s candidates are its later neighbours in peel order, indexed
     * `0 until d` by that order. The search runs on bitsets over these
@@ -71,62 +333,81 @@ object Search {
     * bytes, and are built only for roots that pass the node-entry prunes.
     * Set bits are walked in ascending position, i.e. in peel order, so
     * the tree, its prunes and the clique are those of the list-based
-    * search (`SearchReference`, test scope).
+    * search (`SearchReference`, test scope). Every prune compares against
+    * the incumbent's live [[Incumbent.bar]].
     */
-  private[core] def searchComponent(sub: LocalGraph, k: Int, delta: Int,
-                                    bounds: Bounds.BoundConfig,
-                                    globalBest: Int,
-                                    nodeLimit: Long = Long.MaxValue): Result = {
-    val n = sub.n
-    val colors = Coloring.greedyLocal(sub)
-    val peel = ColorfulDegrees.colorfulCorePeelOrder(sub, colors)
-    val ord = new Array[Int](n)
-    (0 until n).foreach(i => ord(peel(i)) = i)
-
-    var best = Array.empty[Int]
-    var bestSize = globalBest
+  private final class Worker(c: ComponentSearch) {
+    private val po = c.peelOrder
+    private val k = c.k
     var nodes = 0L
     var prunedByBound = 0L
-    var truncated = false
+    private var unflushed = 0
+    // c.nodesSpent as of this worker's last flush
+    private var spent = 0L
+    private var stopped = false
 
-    // the current root's instance: candidates by position, bitset rows
-    // (row p at rows(rowStart(p)), words p >> 6 until `words`) and the
-    // positions of attribute-a candidates
-    var cands = Array.empty[Int]
-    var words = 0
-    var rows = Array.empty[Long]
-    var rowStart = Array.empty[Int]
-    var maskA = Array.empty[Long]
-    // scratch vertex -> position map, -1 outside the instance being built
-    val pos = Array.fill(n)(-1)
+    // the current root's order and instance: candidate ranks by position,
+    // bitset rows (row p at rows(rowStart(p)), words p >> 6 until `words`)
+    // and the positions of attribute-a candidates
+    private var rootOrder = 0
+    private var cands = Array.empty[Int]
+    private var words = 0
+    private var rows = Array.empty[Long]
+    private var rowStart = Array.empty[Int]
+    private var maskA = Array.empty[Long]
+    // scratch rank -> position map, -1 outside the instance being built
+    private val pos = Array.fill(po.n)(-1)
     // sets(r): candidate set of the node whose R has r vertices
-    val sets = mutable.ArrayBuffer.empty[Array[Long]]
-    val rStack = new Array[Int](n)
-    var cntA = 0
-    var cntB = 0
+    private val sets = mutable.ArrayBuffer.empty[Array[Long]]
+    // ranks of R's vertices
+    private val rStack = new Array[Int](po.n)
+    private var cntA = 0
+    private var cntB = 0
 
-    def setAt(r: Int): Array[Long] = {
+    def run(): Unit = {
+      while (!stopped) {
+        if (c.stopped) stopped = true
+        else {
+          val r = c.nextRoot.getAndIncrement()
+          if (r < po.n) root(r) else stopped = true
+        }
+      }
+      c.nodesSpent.addAndGet(unflushed)
+    }
+
+    private def bar: Int = c.best.bar(rootOrder)
+
+    private def setAt(r: Int): Array[Long] = {
       while (sets.length <= r) sets += new Array[Long](words)
       if (sets(r).length < words) sets(r) = new Array[Long](words)
       sets(r)
     }
 
-    // count the node, record a fair R, and tell whether it may branch
-    def enter(rSize: Int, cSize: Int, candA: Int): Boolean = {
-      if (truncated) return false
+    // count one node against the budget; false once it is spent
+    private def count(): Boolean = {
       nodes += 1
-      if (nodes > nodeLimit) { truncated = true; return false }
-      if (FairClique.isFair(cntA, cntB, k, delta) && rSize > bestSize) {
-        bestSize = rSize
-        best = java.util.Arrays.copyOf(rStack, rSize)
+      unflushed += 1
+      if (spent + unflushed > c.nodeLimit) { stopped = true; c.stopped = true; return false }
+      if (unflushed == FlushEvery) {
+        spent = c.nodesSpent.addAndGet(unflushed)
+        unflushed = 0
+        if (c.stopped) stopped = true
       }
-      rSize + cSize > bestSize && rSize + cSize >= 2 * k &&
+      !stopped
+    }
+
+    // count the node, record a fair R, and tell whether it may branch
+    private def enter(rSize: Int, cSize: Int, candA: Int): Boolean = {
+      if (stopped || !count()) return false
+      if (FairClique.isFair(cntA, cntB, k, c.delta) && rSize > bar)
+        c.best.offer(rSize, rootOrder, Array.tabulate(rSize)(i => c.toG(po.peel(rStack(i)))))
+      rSize + cSize > bar && rSize + cSize >= 2 * k &&
         cntA + candA >= k && cntB + (cSize - candA) >= k
     }
 
     // extend R (rSize vertices) by each candidate in sets(rSize), whose
     // set bits lie in words lo until `words`
-    def branch(rSize: Int, lo: Int, cSize: Int, candA: Int): Unit = {
+    private def branch(rSize: Int, lo: Int, cSize: Int, candA: Int): Unit = {
       val cur = sets(rSize)
       val next = setAt(rSize + 1)
       var remA = candA
@@ -162,8 +443,8 @@ object Search {
           left -= 1
           // later iterations use only candidates after p: stop when even
           // taking all of them cannot beat the incumbent or reach k/2k
-          if (truncated) return
-          if (rSize + left <= bestSize) return
+          if (stopped) return
+          if (rSize + left <= bar) return
           if (rSize + left < 2 * k) return
           if (cntA + remA < k || cntB + remB < k) return
         }
@@ -172,7 +453,7 @@ object Search {
     }
 
     // rows, attribute mask and full candidate set of the current root
-    def buildRows(): Unit = {
+    private def buildRows(): Unit = {
       val d = cands.length
       words = (d + 63) >>> 6
       if (rowStart.length < d) rowStart = new Array[Int](d)
@@ -190,14 +471,15 @@ object Search {
       while (p < d) { pos(cands(p)) = p; p += 1 }
       p = 0
       while (p < d) {
-        val v = cands(p)
-        if (sub.attr(v) == 0) maskA(p >> 6) |= 1L << p
+        val rp = cands(p)
+        if (po.attr(rp) == 0) maskA(p >> 6) |= 1L << p
         val row = rowStart(p) - (p >> 6)
-        val nb = sub.adj(v)
+        // later neighbours of candidate p come after it, as positions do
+        val nb = po.later(rp)
         var j = 0
         while (j < nb.length) {
           val q = pos(nb(j))
-          if (q > p) rows(row + (q >> 6)) |= 1L << q
+          if (q >= 0) rows(row + (q >> 6)) |= 1L << q
           j += 1
         }
         p += 1
@@ -206,46 +488,28 @@ object Search {
       while (p < d) { pos(cands(p)) = -1; p += 1 }
     }
 
-    // root branches in peel order; candidates are later-ordered neighbours
-    var r = 0
-    while (r < n && !truncated) {
-      val u = peel(r)
-      // peel positions of u's later neighbours
-      val later = sub.adj(u).clone()
-      var d = 0
-      var j = 0
-      while (j < later.length) {
-        if (ord(later(j)) > r) { later(d) = ord(later(j)); d += 1 }
-        j += 1
-      }
-      if (1 + d >= 2 * k && 1 + d > bestSize) {
-        java.util.Arrays.sort(later, 0, d)
-        cands = new Array[Int](d)
-        j = 0
-        while (j < d) { cands(j) = peel(later(j)); j += 1 }
-        var proceed = true
+    private def root(r: Int): Unit = {
+      rootOrder = c.firstOrder + r
+      cands = po.later(r)
+      val d = cands.length
+      if (1 + d >= 2 * k && 1 + d > bar) {
         // evaluating a bound costs an induced subgraph + coloring; on tiny
         // instances the search itself is cheaper than the bound
-        if (bounds.any && d >= 32) {
-          val keep = (u +: cands).sorted
-          val ub = Bounds.evaluate(sub.inducedSubgraph(keep, pos), delta, bounds)
-          if (ub < 2 * k || ub <= bestSize) { proceed = false; prunedByBound += 1 }
+        if (c.bounds.any && d >= 32) {
+          val ub = Bounds.evaluate(po.instance(r, pos), c.delta, c.bounds)
+          if (ub < 2 * k || ub <= bar) { prunedByBound += 1; return }
         }
-        if (proceed) {
-          rStack(0) = u
-          cntA = if (sub.attr(u) == 0) 1 else 0
-          cntB = 1 - cntA
-          var candA = 0
-          j = 0
-          while (j < d) { if (sub.attr(cands(j)) == 0) candA += 1; j += 1 }
-          if (enter(1, d, candA)) {
-            buildRows()
-            branch(1, 0, d, candA)
-          }
+        rStack(0) = r
+        cntA = if (po.attr(r) == 0) 1 else 0
+        cntB = 1 - cntA
+        var candA = 0
+        var j = 0
+        while (j < d) { if (po.attr(cands(j)) == 0) candA += 1; j += 1 }
+        if (enter(1, d, candA)) {
+          buildRows()
+          branch(1, 0, d, candA)
         }
       }
-      r += 1
     }
-    Result(best, nodes, prunedByBound, truncated)
   }
 }

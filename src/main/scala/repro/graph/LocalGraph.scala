@@ -187,7 +187,7 @@ final class LocalGraph(
   /** h-index of the degree sequence: max h with h vertices of degree >= h. */
   def hIndex: Int = LocalGraph.hIndexOf(Array.tabulate(n)(degree))
 
-  /** Connected components as arrays of internal vertices. */
+  /** Connected components as ascending arrays of internal vertices. */
   def connectedComponents: Seq[Array[Int]] = {
     val seen = new Array[Boolean](n)
     val comps = mutable.ArrayBuffer.empty[Array[Int]]

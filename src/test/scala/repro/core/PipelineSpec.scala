@@ -9,7 +9,7 @@ import repro.synth.GraphGen
 
 import java.util.concurrent.atomic.AtomicInteger
 
-/** End-to-end pipeline: distributed reductions + parallel component search. */
+/** End-to-end pipeline: distributed reductions + root-parallel search. */
 class PipelineSpec extends SparkSpec {
 
   for (seed <- 1 to 5) {
@@ -44,12 +44,39 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("driver-side and distributed component search agree") {
-    val lg = GraphGen.randomLocal(80, 0.08, 11)
-    val ag = AttributedGraph.fromLocal(spark, lg)
-    val base = Pipeline.Config(Bounds.BoundConfig(ad = true))
-    val dist = Pipeline.run(spark, ag, 2, 2, base.copy(distributedSearch = true))
-    val local = Pipeline.run(spark, ag, 2, 2, base.copy(distributedSearch = false))
-    assert(dist.size == local.size)
+    // the planted 14-clique (10 a, 4 b) holds 252 tied optima at k = 2, δ = 1
+    val planted = GraphGen.randomLocalWithClique(250, 0.08, GraphGen.Planted(14, 10), 1)._1
+    for ((lg, delta, size) <- Seq((GraphGen.randomLocal(80, 0.08, 11), 2, 0), (planted, 1, 9))) {
+      val ag = AttributedGraph.fromLocal(spark, lg)
+      val base = Pipeline.Config(Bounds.BoundConfig(ad = true))
+      val dist = Pipeline.run(spark, ag, 2, delta, base.copy(distributedSearch = true))
+      val local = Pipeline.run(spark, ag, 2, delta, base.copy(distributedSearch = false))
+      assert(dist.size == size)
+      assert(dist.cliqueIds.toSeq == local.cliqueIds.toSeq)
+    }
+  }
+
+  test("one-thread searchReduced reports the counters of Search.maxRFC") {
+    val k = 2
+    var nodes = 0L
+    var pruned = 0L
+    val bounded = Bounds.BoundConfig(ad = true, colorfulDegeneracy = true)
+    for (seed <- 1 to 3) {
+      val lg = GraphGen.randomLocal(250, 0.2, seed + 2000)
+      for (delta <- 1 to 2; cfg <- Seq(Bounds.BoundConfig.none, bounded); heur <- Seq(false, true)) {
+        val config = Pipeline.Config(cfg, useHeuristic = heur, distributedSearch = false)
+        val res = Pipeline.searchReduced(spark, lg, k, delta, config)
+        val start = if (heur) Heuristics.heurRFC(lg, k, delta).clique else Array.empty[Int]
+        val want = Search.maxRFC(lg, k, delta, cfg, start)
+        assert(res.cliqueIds.toSeq == want.clique.map(lg.ids).sorted.toSeq)
+        assert(res.nodes == want.nodes)
+        assert(res.prunedByBound == want.prunedByBound)
+        assert(!res.truncated)
+        nodes += res.nodes
+        pruned += res.prunedByBound
+      }
+    }
+    assert(nodes > 0 && pruned > 0)
   }
 
   test("pipeline without heuristic still finds the optimum") {
@@ -115,12 +142,24 @@ class PipelineSpec extends SparkSpec {
     assert(res.size >= 10)
   }
 
-  test("pipeline on a small graph launches only the input collects and the search") {
+  test("pipeline on a small graph launches only the input collects") {
     val g = smallInput()
     val config = Pipeline.Config(Bounds.BoundConfig(ad = true), useHeuristic = true)
     val (res, jobs) = jobsDuring(Pipeline.run(spark, g, 3, 2, config))
     assert(res.size >= 10)
-    assert(jobs <= 5, s"$jobs Spark jobs")
+    assert(jobs <= 2, s"$jobs Spark jobs")
+  }
+
+  test("searchReduced starts no Spark job") {
+    val g = smallInput()
+    val (reduced, _) = Reductions.cascade(spark, g, 3)
+    for (distributed <- Seq(true, false)) {
+      val config = Pipeline.Config(Bounds.BoundConfig(ad = true), useHeuristic = true,
+        distributedSearch = distributed)
+      val (res, jobs) = jobsDuring(Pipeline.searchReduced(spark, reduced, 3, 2, config))
+      assert(res.size >= 10)
+      assert(jobs == 0, s"distributedSearch=$distributed: $jobs Spark jobs")
+    }
   }
 
   private def graphOf(vertices: Seq[(Long, Int)], edges: Seq[(Long, Long)]): AttributedGraph = {

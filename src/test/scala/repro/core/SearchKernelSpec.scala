@@ -12,20 +12,7 @@ import scala.util.Random
   * prunes, same truncation and the same clique, vertex for vertex.
   */
 class SearchKernelSpec extends AnyFunSuite {
-
-  private val seeds = 1 to 40
-
-  // "250+K80" plants a balanced 80-clique in sparse noise, so root candidate
-  // sets span two bitset words; the plain random graphs keep below 64
-  private val graphs = Seq("30", "120", "250", "250+K80")
-
-  private def graph(name: String, seed: Int): LocalGraph = name match {
-    case "30" => GraphGen.randomLocal(30, 0.4, seed)
-    case "120" => GraphGen.randomLocal(120, 0.25, seed + 1000)
-    case "250" => GraphGen.randomLocal(250, 0.2, seed + 2000)
-    case "250+K80" =>
-      GraphGen.randomLocalWithClique(250, 0.08, GraphGen.Planted(80, 40), seed + 3000)._1
-  }
+  import SearchKernelSpec._
 
   private def sameTree(g: LocalGraph, k: Int, delta: Int, cfg: Bounds.BoundConfig,
                        globalBest: Int, nodeLimit: Long, label: String): Search.Result = {
@@ -86,6 +73,22 @@ class SearchKernelSpec extends AnyFunSuite {
     }
   }
 
+  test("root bound instances read from later-neighbour lists equal inducedSubgraph") {
+    for (n <- graphs; seed <- seeds.take(10)) {
+      val g = graph(n, seed)
+      val po = new Search.PeelOrder(g)
+      val pos = Array.fill(g.n)(-1)
+      for (r <- 0 until g.n) {
+        val want = g.inducedSubgraph(po.peel(r) +: po.later(r).map(po.peel))
+        val got = po.instance(r, pos)
+        val label = s"n=$n seed=$seed root=$r"
+        assert(got.ids.toSeq == want.ids.toSeq && got.attr.toSeq == want.attr.toSeq, label)
+        assert(got.adj.map(_.toSeq).toSeq == want.adj.map(_.toSeq).toSeq, label)
+        assert(pos.forall(_ == -1), label)
+      }
+    }
+  }
+
   test("a hub with 50k same-attribute leaves costs one node and no bitset rows") {
     val leaves = 50000
     val g = new LocalGraph(
@@ -98,5 +101,23 @@ class SearchKernelSpec extends AnyFunSuite {
     assert(res.size == 0 && !res.truncated)
     assert(res.nodes == 1)
     assert(secs < 1.0, s"took $secs s")
+  }
+}
+
+/** The seeded graphs the kernel specs share. */
+object SearchKernelSpec {
+
+  val seeds: Range = 1 to 40
+
+  // "250+K80" plants a balanced 80-clique in sparse noise, so root candidate
+  // sets span two bitset words; the plain random graphs keep below 64
+  val graphs: Seq[String] = Seq("30", "120", "250", "250+K80")
+
+  def graph(name: String, seed: Int): LocalGraph = name match {
+    case "30" => GraphGen.randomLocal(30, 0.4, seed)
+    case "120" => GraphGen.randomLocal(120, 0.25, seed + 1000)
+    case "250" => GraphGen.randomLocal(250, 0.2, seed + 2000)
+    case "250+K80" =>
+      GraphGen.randomLocalWithClique(250, 0.08, GraphGen.Planted(80, 40), seed + 3000)._1
   }
 }

@@ -8,11 +8,13 @@ import scala.collection.mutable
   *
   * [[searchComponent]] is the list-based MaxRFC component search: candidate
   * sets are sorted arrays of vertex ids, filtered by `hasEdge` binary
-  * searches. [[colorfulCoreDecomposition]] is the min-first colorful core
-  * peeling by a linear `minBy` scan. `Search.searchComponent` must visit the
+  * searches; [[maxRFC]] runs it over the components one after another.
+  * [[colorfulCoreDecomposition]] is the min-first colorful core peeling by
+  * a linear `minBy` scan. `Search.searchComponent` must visit the
   * identical tree (same nodes, prunes and clique) and
   * `ColorfulDegrees.colorfulCoreDecomposition` must return the identical
-  * core numbers and peel order (`SearchKernelSpec`).
+  * core numbers and peel order (`SearchKernelSpec`); `Search.maxRFC` must
+  * return the identical clique at any parallelism (`SearchParallelSpec`).
   *
   * [[alternatingMaxRFC]] is the paper-literal Algorithm 3 with forced
   * attribute alternation. As printed it is incomplete (DESIGN.md §5.1) —
@@ -59,6 +61,30 @@ object SearchReference {
       }
     }
     (ccore, order)
+  }
+
+  /** The one-thread component loop over [[searchComponent]]: components in
+    * order, each starting from the best clique so far, skipped when too
+    * small to beat it; `nodeLimit` holds per component. Same contract as
+    * `Search.maxRFC`.
+    */
+  def maxRFC(g: LocalGraph, k: Int, delta: Int, bounds: Bounds.BoundConfig,
+             initialBest: Array[Int], nodeLimit: Long = Long.MaxValue): Search.Result = {
+    var best = initialBest
+    var nodes = 0L
+    var prunedByBound = 0L
+    var truncated = false
+    g.connectedComponents.foreach { comp =>
+      if (comp.length >= math.max(2 * k, best.length + 1) && !truncated) {
+        val res = searchComponent(g.inducedSubgraph(comp), k, delta, bounds, best.length,
+          nodeLimit)
+        nodes += res.nodes
+        prunedByBound += res.prunedByBound
+        truncated ||= res.truncated
+        if (res.size > best.length) best = res.clique.map(comp)
+      }
+    }
+    Search.Result(best, nodes, prunedByBound, truncated)
   }
 
   /** Search one connected component (internal ids of `sub`); same contract
