@@ -37,6 +37,12 @@ trait BenchHarness extends SparkSpec {
   }
 
   def ms(d: Double): String = f"$d%.1f"
+
+  /** A row's optimum size; when every search of the row was truncated it is
+    * only the largest clique found, printed as a lower bound.
+    */
+  def sizeCell(size: Int, allTruncated: Boolean): String =
+    if (allTruncated) s">=$size" else size.toString
 }
 
 /** JVM-wide caches shared by all bench suites in one `bench/test` run. */

@@ -7,7 +7,8 @@ import repro.synth.LiteDatasets
   * MaxRFC (basic prunes only), MaxRFC+ub (best upper-bound config), and
   * MaxRFC+ub+HeurRFC (heuristic-seeded incumbent) — sweeping k and δ.
   * All three share the reduction cascade (Algorithm 2 lines 1–3); time =
-  * reduction + (heuristic +) search. Node-budget-exhausted cells are INF.
+  * reduction + (heuristic +) search. Node-budget-exhausted cells are INF;
+  * when all three are, `|MaxRFC|` prints as a lower bound, `>=N`.
   */
 class Fig6SearchBench extends BenchHarness {
 
@@ -15,8 +16,8 @@ class Fig6SearchBench extends BenchHarness {
 
   private def ubCfg = Bounds.BoundConfig(ad = true, colorfulDegeneracy = true)
 
-  /** One sweep cell: per-variant (display time, nodes, size). */
-  private def variants(name: String, k: Int, delta: Int): Seq[(String, Long, Int)] = {
+  /** One sweep cell: per-variant (display time, nodes, size, truncated). */
+  private def variants(name: String, k: Int, delta: Int): Seq[(String, Long, Int, Boolean)] = {
     val (g, _, redMs) = BenchData.reducedGraph(spark, name, k)
     val (r0, t0) = timed(Search.maxRFC(g, k, delta, nodeLimit = nodeLimit))
     val (r1, t1) = timed(Search.maxRFC(g, k, delta, ubCfg, nodeLimit = nodeLimit))
@@ -27,7 +28,7 @@ class Fig6SearchBench extends BenchHarness {
     val sizes = Seq(r0, r1, r2).filter(!_.truncated).map(_.size).distinct
     assert(sizes.length <= 1, s"$name k=$k d=$delta: variants disagree: $sizes")
     Seq((r0, t0), (r1, t1), (r2, t2)).map { case (r, t) =>
-      ((if (r.truncated) "INF" else ms(redMs + t)), r.nodes, r.size)
+      ((if (r.truncated) "INF" else ms(redMs + t)), r.nodes, r.size, r.truncated)
     }
   }
 
@@ -35,8 +36,9 @@ class Fig6SearchBench extends BenchHarness {
     "MaxRFC", "MaxRFC+ub", "MaxRFC+ub+HeurRFC",
     "nodes", "nodes+ub", "nodes+ub+heur")
 
-  private def row(label: String, vs: Seq[(String, Long, Int)]): Seq[String] =
-    Seq(label, vs.map(_._3).max.toString) ++ vs.map(_._1) ++ vs.map(_._2.toString)
+  private def row(label: String, vs: Seq[(String, Long, Int, Boolean)]): Seq[String] =
+    Seq(label, sizeCell(vs.map(_._3).max, vs.forall(_._4))) ++ vs.map(_._1) ++
+      vs.map(_._2.toString)
 
   for (spec <- LiteDatasets.specs) {
     test(s"Fig 6 rows for ${spec.name}: k sweep") {

@@ -28,7 +28,7 @@ object HeuristicJob {
         Pipeline.Config(Bounds.BoundConfig(ad = true, colorfulDegeneracy = true),
           useHeuristic = true))
       println(s"dataset=$name k=$k delta=$delta")
-      println(s"  HeurRFC size = ${heur.clique.length} (color ub = ${heur.ub})")
+      println(s"  HeurRFC size = ${heur.clique.length}")
       println(s"  MaxRFC  size = ${exact.size}")
     } finally spark.stop()
   }

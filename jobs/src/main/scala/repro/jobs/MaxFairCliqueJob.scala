@@ -32,7 +32,7 @@ object MaxFairCliqueJob {
       val ms = (System.nanoTime() - t0) / 1e6
       res.reductionStats.foreach(s =>
         println(f"  after ${s.stage}%-16s vertices=${s.vertices}%8d edges=${s.edges}%10d"))
-      println(f"heuristic size = ${res.heuristicSize}")
+      println(f"starting incumbent size = ${res.heuristicSize} (larger of HeurRFC and ego seed)")
       println(f"maximum fair clique size = ${res.size} (${ms}%.1f ms, ${res.nodes} nodes)")
       println(s"vertices: ${res.cliqueIds.mkString(", ")}")
     } finally spark.stop()

@@ -83,9 +83,8 @@ object Bounds {
   def ubColorfulHIndex(g: LocalGraph, colors: Array[Int], delta: Int): Int = {
     if (g.n == 0) return 0
     val alive = Array.fill(g.n)(true)
-    val deg = ColorfulDegrees.localColorfulDegrees(g, colors, alive)
-    val dmin = deg.map { case (a, b) => math.min(a, b) }
-    2 * LocalGraph.hIndexOf(dmin) + delta + 2
+    val (dA, dB) = ColorfulDegrees.localColorfulDegrees(g, colors, alive)
+    2 * LocalGraph.hIndexOf(Array.tabulate(g.n)(v => math.min(dA(v), dB(v)))) + delta + 2
   }
 
   /** Lemma 14 / Algorithm 4: longest colorful path in the DAG induced by

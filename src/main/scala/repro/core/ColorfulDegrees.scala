@@ -111,22 +111,39 @@ object ColorfulDegrees {
 
   // ---------------------------------------------------------------- local
 
-  /** Local colorful degrees `(dA, dB)` restricted to an `alive` mask. */
+  /** Local colorful degrees `(dA, dB)` restricted to an `alive` mask:
+    * `dA(u)` / `dB(u)` count the distinct colors among `u`'s alive
+    * attribute-a / attribute-b neighbours, 0 for dead `u`. `colors` are
+    * non-negative.
+    */
   def localColorfulDegrees(g: LocalGraph, colors: Array[Int],
-                           alive: Array[Boolean]): Array[(Int, Int)] = {
-    Array.tabulate(g.n) { u =>
-      if (!alive(u)) (0, 0)
-      else {
-        val seenA = mutable.BitSet.empty
-        val seenB = mutable.BitSet.empty
-        g.adj(u).foreach { v =>
+                           alive: Array[Boolean]): (Array[Int], Array[Int]) = {
+    val dA = new Array[Int](g.n)
+    val dB = new Array[Int](g.n)
+    var maxColor = -1
+    var i = 0
+    while (i < colors.length) { maxColor = math.max(maxColor, colors(i)); i += 1 }
+    // seenA(c) == u + 1 marks color c as seen on an attribute-a neighbour of u
+    val seenA = new Array[Int](maxColor + 1)
+    val seenB = new Array[Int](maxColor + 1)
+    var u = 0
+    while (u < g.n) {
+      if (alive(u)) {
+        val nb = g.adj(u)
+        var j = 0
+        while (j < nb.length) {
+          val v = nb(j)
           if (alive(v)) {
-            if (g.attr(v) == 0) seenA += colors(v) else seenB += colors(v)
+            val c = colors(v)
+            if (g.attr(v) == 0) { if (seenA(c) != u + 1) { seenA(c) = u + 1; dA(u) += 1 } }
+            else if (seenB(c) != u + 1) { seenB(c) = u + 1; dB(u) += 1 }
           }
+          j += 1
         }
-        (seenA.size, seenB.size)
       }
+      u += 1
     }
+    (dA, dB)
   }
 
   /** Local enhanced colorful degree `ED(u)` under an `alive` mask. */
@@ -158,9 +175,8 @@ object ColorfulDegrees {
     */
   def localColorfulCoreVertices(g: LocalGraph, colors: Array[Int], threshold: Int): Array[Int] =
     localPeel(g) { alive =>
-      val deg = localColorfulDegrees(g, colors, alive)
-      (0 until g.n).filter(v => alive(v) &&
-        math.min(deg(v)._1, deg(v)._2) < threshold)
+      val (dA, dB) = localColorfulDegrees(g, colors, alive)
+      (0 until g.n).filter(v => alive(v) && math.min(dA(v), dB(v)) < threshold)
     }
 
   /** Local batch peeling to the enhanced colorful core. */

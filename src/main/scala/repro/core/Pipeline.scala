@@ -12,8 +12,9 @@ import repro.graph.{AttributedGraph, LocalGraph}
   *    `Reductions.LocalEdgeLimit` edges and on the driver once it fits;
   *    the input is collected once, and the reduced graph comes back as a
   *    `LocalGraph`.
-  * 2. Optionally run HeurRFC on the reduced graph to seed `R*` (the
-  *    paper's Remark in Section V).
+  * 2. Optionally seed `R*` (the paper's Remark in Section V) with
+  *    HeurRFC's clique on the reduced graph and, per component, with the
+  *    ego seed pass of `Search.maxRFC`, whichever is larger.
   * 3. Branch-and-bound (`Search.maxRFC`) on the driver: components one
   *    after another, the root branches of each searched by parallel
   *    threads that share one live incumbent. The clique is the one the
@@ -22,11 +23,15 @@ import repro.graph.{AttributedGraph, LocalGraph}
 object Pipeline {
 
   /** Pipeline configuration: which upper bounds the search evaluates at
-    * top-level branches, whether HeurRFC seeds the incumbent, and whether
+    * top-level branches, whether heuristics seed the incumbent, and whether
     * the search runs on parallel threads.
     */
   final case class Config(
       bounds: Bounds.BoundConfig = Bounds.BoundConfig.none,
+      /** seed the incumbent with the larger of HeurRFC's clique and the
+        * cliques of the ego seed pass (`Search.maxRFC`'s `egoSeed`); the
+        * optimum size does not change, the search work may only fall.
+        */
       useHeuristic: Boolean = false,
       /** search on `min(defaultParallelism, cores)` driver threads (true) or
         * on the calling thread only; the clique is the same.
@@ -38,6 +43,7 @@ object Pipeline {
       cliqueIds: Array[Long],
       reducedVertices: Long,
       reducedEdges: Long,
+      /** size of the seed clique the search started from (`Search.Result.seedSize`) */
       heuristicSize: Int,
       nodes: Long,
       prunedByBound: Long,
@@ -74,8 +80,9 @@ object Pipeline {
       if (config.distributedSearch)
         math.min(spark.sparkContext.defaultParallelism, Runtime.getRuntime.availableProcessors)
       else 1
-    val res = Search.maxRFC(lg, k, delta, config.bounds, heur, parallelism = parallelism)
-    Result(res.clique.map(lg.ids).sorted, lg.n.toLong, lg.m, heur.length, res.nodes,
+    val res = Search.maxRFC(lg, k, delta, config.bounds, heur, parallelism = parallelism,
+      egoSeed = config.useHeuristic)
+    Result(res.clique.map(lg.ids).sorted, lg.n.toLong, lg.m, res.seedSize, res.nodes,
       res.prunedByBound, res.truncated, stats)
   }
 }

@@ -18,6 +18,8 @@ import scala.collection.mutable
   *   - per-attribute counts: `cnt_R(x) + cnt_C(x) < k` (lines 21–23);
   *   - the configured upper bounds of Section IV at top-level branches
   *     ("when selecting vertices to be added to R for the first time").
+  * Optionally an ego-network greedy pass on the peel order ([[EgoSeed]],
+  * not in the paper) seeds `R*` before each component's search.
   *
   * The paper-literal Algorithm 3 with forced attribute alternation is
   * incomplete as printed (DESIGN.md §5.1); it lives in test scope
@@ -25,12 +27,14 @@ import scala.collection.mutable
   */
 object Search {
 
-  /** Search outcome: optimum clique (internal ids of `g`), counters, and
+  /** Search outcome: optimum clique (internal ids of `g`), counters,
     * whether a node budget cut the search short (benches report such runs
-    * as "INF", like the paper's 12-hour timeout).
+    * as "INF", like the paper's 12-hour timeout), and the size of the
+    * largest seed clique the incumbent held: `initialBest` or a clique of
+    * the ego seed pass.
     */
   final case class Result(clique: Array[Int], nodes: Long, prunedByBound: Long,
-                          truncated: Boolean = false) {
+                          truncated: Boolean, seedSize: Int) {
     def size: Int = clique.length
   }
 
@@ -57,39 +61,72 @@ object Search {
     *                    lower bound flagged truncated.
     * @param parallelism threads searching each component; 1 searches on the
     *                    calling thread only.
+    * @param egoSeed     before the workers of a component start, run the
+    *                    ego seed pass ([[EgoSeed]]) on its peel order and
+    *                    seed the incumbent with any larger fair clique it
+    *                    finds. The pass is sequential, so the clique stays
+    *                    independent of `parallelism`; with it off, node and
+    *                    prune counts are those of the unseeded search.
     */
   def maxRFC(g: LocalGraph, k: Int, delta: Int,
              bounds: Bounds.BoundConfig = Bounds.BoundConfig.none,
              initialBest: Array[Int] = Array.empty,
              nodeLimit: Long = Long.MaxValue,
-             parallelism: Int = 1): Result = {
+             parallelism: Int = 1,
+             egoSeed: Boolean = false): Result = {
     require(parallelism >= 1, s"parallelism must be at least 1, got $parallelism")
     val best = new Incumbent(initialBest, initialBest.length)
+    var seedSize = initialBest.length
     var nodes = 0L
     var prunedByBound = 0L
     var truncated = false
-    // roots are numbered in search order across components from 1; the
-    // seed clique has order 0
+    eachComponent(g, k, best) { (po, comp, firstOrder) =>
+      if (egoSeed) seedSize = math.max(seedSize, new EgoSeed(po, comp, k, delta).run(best))
+      val search = new ComponentSearch(po, comp, k, delta, bounds, nodeLimit, best, firstOrder)
+      search.run(parallelism)
+      nodes += search.nodes
+      prunedByBound += search.prunedByBound
+      truncated = search.stopped
+      !truncated
+    }
+    Result(best.clique, nodes, prunedByBound, truncated, seedSize)
+  }
+
+  /** The ego seed pass alone: the largest fair clique (internal ids of
+    * `g`) that [[EgoSeed]] finds over the components of `g`, or empty.
+    */
+  def egoClique(g: LocalGraph, k: Int, delta: Int): Array[Int] = {
+    val best = new Incumbent(Array.empty, 0)
+    eachComponent(g, k, best) { (po, comp, _) =>
+      new EgoSeed(po, comp, k, delta).run(best)
+      true
+    }
+    best.clique
+  }
+
+  /** Calls `visit(peel order, ids in g, order of its first root)` on each
+    * connected component of `g` in turn that is large enough, when reached,
+    * to hold a fair clique beating `best`, until `visit` returns false.
+    * Roots are numbered in search order across components from 1; a seed
+    * clique has order 0.
+    */
+  private def eachComponent(g: LocalGraph, k: Int, best: Incumbent)
+                           (visit: (PeelOrder, Array[Int], Int) => Boolean): Unit = {
     var firstOrder = 1
+    var going = true
     val comps = g.connectedComponents.iterator
     // shared by the component copies; connectedComponents lists each
     // component ascending, as the pos overload of inducedSubgraph needs
     lazy val pos = Array.fill(g.n)(-1)
-    while (comps.hasNext && !truncated) {
+    while (comps.hasNext && going) {
       val comp = comps.next()
       if (comp.length >= math.max(2 * k, best.size + 1)) {
         // a component holding every vertex is g itself, and comp(v) == v
         val sub = if (comp.length == g.n) g else g.inducedSubgraph(comp, pos)
-        val search = new ComponentSearch(new PeelOrder(sub), comp, k, delta, bounds,
-          nodeLimit, best, firstOrder)
-        search.run(parallelism)
-        nodes += search.nodes
-        prunedByBound += search.prunedByBound
-        truncated = search.stopped
+        going = visit(new PeelOrder(sub), comp, firstOrder)
       }
       firstOrder += comp.length
     }
-    Result(best.clique, nodes, prunedByBound, truncated)
   }
 
   /** Search one connected component `sub` on the calling thread, starting
@@ -105,7 +142,7 @@ object Search {
       bounds, nodeLimit, best, 1)
     search.run(1)
     Result(if (best.size > globalBest) best.clique else Array.empty,
-      search.nodes, search.prunedByBound, search.stopped)
+      search.nodes, search.prunedByBound, search.stopped, globalBest)
   }
 
   private def keyOf(size: Int, order: Int): Long = (size.toLong << 32) | (Int.MaxValue - order)
@@ -239,6 +276,174 @@ object Search {
         i += 1
       }
       new LocalGraph(keep.map(sub.ids), keep.map(sub.attr), adj)
+    }
+  }
+
+  /** The ego seed pass over one component: the ego-network heuristic of
+    * Chang ("Efficient maximum clique computation over large sparse
+    * graphs", KDD 2019) on the search's own peel order. Ranks are visited
+    * from last to first; a root whose ego network (itself and its later
+    * neighbours) could still hold a fair clique larger than the incumbent
+    * gets one greedy descent of Algorithm 5 inside that ego network, and a
+    * fair clique it finds that beats the incumbent is offered at order 0.
+    *
+    * The descent starts at the root and alternates attributes, taking the
+    * candidate of the forced attribute with the highest degree in the ego
+    * network (the earliest in peel order on ties). Once no candidate of the
+    * forced attribute is left, neither attribute may exceed that
+    * attribute's count in the clique plus δ. It gives up when the rest
+    * cannot reach `k` per attribute, `2k` in all, or more than the
+    * incumbent (Algorithm 5 lines 24–27). Candidate sets are
+    * bitsets over the root's later neighbours with symmetric rows (`d²/8`
+    * bytes), built from the later-neighbour lists into scratch reused
+    * across roots. Not in the paper: DESIGN.md §5.8.
+    */
+  private final class EgoSeed(po: PeelOrder, toG: Array[Int], k: Int, delta: Int) {
+    // scratch rank -> position map, -1 outside the ego network being built
+    private val pos = Array.fill(po.n)(-1)
+    private var words = 0
+    // row p at rows(p * words): the candidates adjacent to candidate p
+    private var rows = Array.empty[Long]
+    private var deg = Array.empty[Int]
+    private var maskA = Array.empty[Long]
+    private var cur = Array.empty[Long]
+    // positions the descent added to the root, in order
+    private var picked = Array.empty[Int]
+
+    /** Runs the pass against `best`; returns the size of the largest clique
+      * it seeded, or 0.
+      */
+    def run(best: Incumbent): Int = {
+      var seeded = 0
+      var r = po.n - 1
+      while (r >= 0) {
+        val cands = po.later(r)
+        if (1 + cands.length > best.size && 1 + cands.length >= 2 * k) {
+          val size = descend(r, best.size)
+          if (size > best.size) {
+            best.offer(size, 0, Array.tabulate(size)(i =>
+              toG(po.peel(if (i == 0) r else cands(picked(i - 1))))))
+            seeded = size
+          }
+        }
+        r -= 1
+      }
+      seeded
+    }
+
+    // the size of the fair clique the descent from root r finds, or 0 if it
+    // finds none larger than `bar`
+    private def descend(r: Int, bar: Int): Int = {
+      val cands = po.later(r)
+      val d = cands.length
+      var rA = if (po.attr(r) == 0) 1 else 0
+      var rB = 1 - rA
+      var cSize = d
+      var cA = 0
+      var j = 0
+      while (j < d) { if (po.attr(cands(j)) == 0) cA += 1; j += 1 }
+      if (rA + cA < k || rB + cSize - cA < k) return 0
+      build(cands)
+      java.util.Arrays.fill(cur, 0, words, -1L)
+      if ((d & 63) != 0) cur(words - 1) = (1L << d) - 1
+      var rSize = 1
+      var choose = 1 - po.attr(r)
+      var cap = -1
+      while (true) {
+        if (cap == -1 && (if (choose == 0) cA else cSize - cA) == 0)
+          cap = (if (choose == 0) rA else rB) + delta
+        if (cap >= 0) {
+          if (rA == cap && cA > 0) { keep(1); cSize -= cA; cA = 0 }
+          if (rB == cap && cSize > cA) { keep(0); cSize = cA }
+        }
+        if (cSize == 0) return if (FairClique.isFair(rA, rB, k, delta)) rSize else 0
+        if ((if (choose == 0) cA else cSize - cA) == 0) choose = 1 - choose
+        else {
+          val v = highestDegree(choose)
+          picked(rSize - 1) = v
+          rSize += 1
+          if (choose == 0) rA += 1 else rB += 1
+          choose = 1 - choose
+          cSize = 0
+          cA = 0
+          var w = 0
+          while (w < words) {
+            val b = cur(w) & rows(v * words + w)
+            cur(w) = b
+            cSize += java.lang.Long.bitCount(b)
+            cA += java.lang.Long.bitCount(b & maskA(w))
+            w += 1
+          }
+          if (rSize + cSize < 2 * k || rSize + cSize <= bar) return 0
+          if (rA + cA < k || rB + cSize - cA < k) return 0
+        }
+      }
+      0
+    }
+
+    // drop the candidates whose attribute is not `attr`
+    private def keep(attr: Int): Unit = {
+      var w = 0
+      while (w < words) {
+        cur(w) &= (if (attr == 0) maskA(w) else ~maskA(w))
+        w += 1
+      }
+    }
+
+    // the candidate of attribute `attr` with the highest degree, the
+    // earliest on ties
+    private def highestDegree(attr: Int): Int = {
+      var v = -1
+      var w = 0
+      while (w < words) {
+        var bits = cur(w) & (if (attr == 0) maskA(w) else ~maskA(w))
+        while (bits != 0) {
+          val p = (w << 6) | java.lang.Long.numberOfTrailingZeros(bits)
+          bits &= bits - 1
+          if (v < 0 || deg(p) > deg(v)) v = p
+        }
+        w += 1
+      }
+      v
+    }
+
+    // symmetric rows, degrees and attribute mask of the ego network of
+    // candidates `cands`
+    private def build(cands: Array[Int]): Unit = {
+      val d = cands.length
+      words = (d + 63) >>> 6
+      val size = d * words
+      if (rows.length < size) rows = new Array[Long](size)
+      else java.util.Arrays.fill(rows, 0, size, 0L)
+      if (maskA.length < words) { maskA = new Array[Long](words); cur = new Array[Long](words) }
+      else java.util.Arrays.fill(maskA, 0, words, 0L)
+      if (deg.length < d) { deg = new Array[Int](d); picked = new Array[Int](d) }
+      var p = 0
+      while (p < d) { pos(cands(p)) = p; p += 1 }
+      p = 0
+      while (p < d) {
+        if (po.attr(cands(p)) == 0) maskA(p >> 6) |= 1L << p
+        val nb = po.later(cands(p))
+        var j = 0
+        while (j < nb.length) {
+          val q = pos(nb(j))
+          if (q >= 0) {
+            rows(p * words + (q >> 6)) |= 1L << q
+            rows(q * words + (p >> 6)) |= 1L << p
+          }
+          j += 1
+        }
+        p += 1
+      }
+      p = 0
+      while (p < d) {
+        pos(cands(p)) = -1
+        var c = 0
+        var w = 0
+        while (w < words) { c += java.lang.Long.bitCount(rows(p * words + w)); w += 1 }
+        deg(p) = c
+        p += 1
+      }
     }
   }
 

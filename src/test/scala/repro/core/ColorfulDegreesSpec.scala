@@ -45,8 +45,8 @@ class ColorfulDegreesSpec extends SparkSpec {
       val (lg, colors, ag, cdf) = colored(seed + 10)
       val dist = ColorfulDegrees.colorfulDegrees(ag, cdf)
         .collect().map(r => r.getLong(0) -> (r.getInt(1), r.getInt(2))).toMap
-      val local = ColorfulDegrees.localColorfulDegrees(lg, colors, Array.fill(lg.n)(true))
-      (0 until lg.n).foreach(i => assert(dist(lg.ids(i)) == local(i)))
+      val (dA, dB) = ColorfulDegrees.localColorfulDegrees(lg, colors, Array.fill(lg.n)(true))
+      (0 until lg.n).foreach(i => assert(dist(lg.ids(i)) == ((dA(i), dB(i)))))
     }
   }
 
@@ -69,11 +69,11 @@ class ColorfulDegreesSpec extends SparkSpec {
 
   test("ED is never larger than the plain min colorful degree") {
     val (lg, colors, _, _) = colored(55)
-    val cd = ColorfulDegrees.localColorfulDegrees(lg, colors, Array.fill(lg.n)(true))
+    val (dA, dB) = ColorfulDegrees.localColorfulDegrees(lg, colors, Array.fill(lg.n)(true))
     val ed = ColorfulDegrees.localEnhancedDegrees(lg, colors, Array.fill(lg.n)(true))
     (0 until lg.n).foreach { i =>
-      assert(ed(i) <= math.min(cd(i)._1, cd(i)._2) + math.max(cd(i)._1, cd(i)._2))
-      assert(ed(i) <= math.max(cd(i)._1, cd(i)._2))
+      assert(ed(i) <= math.min(dA(i), dB(i)) + math.max(dA(i), dB(i)))
+      assert(ed(i) <= math.max(dA(i), dB(i)))
     }
   }
 
@@ -158,8 +158,8 @@ class ColorfulDegreesSpec extends SparkSpec {
     for (seed <- 1 to 6) {
       val (lg, colors, _, _) = colored(seed + 300, n = 35, p = 0.2)
       val ccore = ColorfulDegrees.colorfulCoreNumbers(lg, colors)
-      val deg = ColorfulDegrees.localColorfulDegrees(lg, colors, Array.fill(lg.n)(true))
-      val h = LocalGraph.hIndexOf(deg.map(d => math.min(d._1, d._2)))
+      val (dA, dB) = ColorfulDegrees.localColorfulDegrees(lg, colors, Array.fill(lg.n)(true))
+      val h = LocalGraph.hIndexOf(Array.tabulate(lg.n)(i => math.min(dA(i), dB(i))))
       assert(ccore.max <= h)
     }
   }

@@ -67,10 +67,11 @@ class PipelineSpec extends SparkSpec {
         val config = Pipeline.Config(cfg, useHeuristic = heur, distributedSearch = false)
         val res = Pipeline.searchReduced(spark, lg, k, delta, config)
         val start = if (heur) Heuristics.heurRFC(lg, k, delta).clique else Array.empty[Int]
-        val want = Search.maxRFC(lg, k, delta, cfg, start)
+        val want = Search.maxRFC(lg, k, delta, cfg, start, egoSeed = heur)
         assert(res.cliqueIds.toSeq == want.clique.map(lg.ids).sorted.toSeq)
         assert(res.nodes == want.nodes)
         assert(res.prunedByBound == want.prunedByBound)
+        assert(res.heuristicSize == want.seedSize)
         assert(!res.truncated)
         nodes += res.nodes
         pruned += res.prunedByBound

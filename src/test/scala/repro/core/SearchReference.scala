@@ -84,7 +84,7 @@ object SearchReference {
         if (res.size > best.length) best = res.clique.map(comp)
       }
     }
-    Search.Result(best, nodes, prunedByBound, truncated)
+    Search.Result(best, nodes, prunedByBound, truncated, initialBest.length)
   }
 
   /** Search one connected component (internal ids of `sub`); same contract
@@ -158,7 +158,7 @@ object SearchReference {
 
     // root branches in peel order; candidates are later-ordered neighbours
     peel.foreach { u =>
-      if (truncated) return Search.Result(best, nodes, prunedByBound, truncated)
+      if (truncated) return Search.Result(best, nodes, prunedByBound, truncated, globalBest)
       val cands = sub.adj(u).filter(w => ord(w) > ord(u)).sortBy(ord)
       val (ca, cb) = FairClique.counts(sub, cands)
       if (1 + cands.length >= 2 * k && 1 + cands.length > bestSize) {
@@ -177,7 +177,7 @@ object SearchReference {
         }
       }
     }
-    Search.Result(best, nodes, prunedByBound, truncated)
+    Search.Result(best, nodes, prunedByBound, truncated, globalBest)
   }
 
   // ------------------------------------------------- paper-literal variant
@@ -246,6 +246,6 @@ object SearchReference {
 
       branch(Nil, peel, 0, -1)
     }
-    Search.Result(best, nodes, 0)
+    Search.Result(best, nodes, 0, truncated = false, seedSize = 0)
   }
 }
