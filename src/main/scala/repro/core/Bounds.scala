@@ -113,44 +113,65 @@ object Bounds {
     * a, colors only on b, colors on both); `colors` are non-negative.
     */
   private def colorStats(g: LocalGraph, colors: Array[Int]): (Int, Int, Int, Int, Int, Int) = {
+    var maxColor = -1
+    var v = 0
+    while (v < g.n) { maxColor = math.max(maxColor, colors(v)); v += 1 }
     // flags(c): bit 0 if color c is on an a-vertex, bit 1 if on a b-vertex
-    val flags = new Array[Int](if (g.n == 0) 0 else colors.max + 1)
-    (0 until g.n).foreach(v => flags(colors(v)) |= (if (g.attr(v) == 0) 1 else 2))
+    val flags = new Array[Int](maxColor + 1)
+    v = 0
+    while (v < g.n) { flags(colors(v)) |= (if (g.attr(v) == 0) 1 else 2); v += 1 }
     var cA = 0; var cB = 0; var cM = 0
-    flags.foreach {
-      case 1 => cA += 1
-      case 2 => cB += 1
-      case 3 => cM += 1
-      case _ =>
+    var c = 0
+    while (c < flags.length) {
+      flags(c) match {
+        case 1 => cA += 1
+        case 2 => cB += 1
+        case 3 => cM += 1
+        case _ =>
+      }
+      c += 1
     }
     (cA + cB + cM, cA + cM, cB + cM, cA, cB, cM)
   }
 
   /** Evaluate the configured bounds on the subgraph induced by a search
     * instance (the instance graph is colored fresh, as the paper does for
-    * `G'`). Returns the minimum of the enabled bounds, or `Int.MaxValue`
-    * when none is enabled.
+    * `G'`, once a color bound runs). Returns the minimum of the enabled
+    * bounds, or `Int.MaxValue` when none is enabled.
+    *
+    * A caller that only compares the result with a threshold passes it as
+    * `floor`: the bounds then run cheapest first (ub_a from the attribute
+    * counts, then the coloring and the rest of ub_AD, then the others in
+    * the order of [[BoundConfig]]) and evaluation stops as soon as their
+    * running minimum is `<= floor`. The result is `<= floor` exactly when
+    * the minimum of all enabled bounds is, and equals that minimum
+    * otherwise; it is always an upper bound. The default floor evaluates
+    * every enabled bound.
     */
-  def evaluate(instance: LocalGraph, delta: Int, config: BoundConfig): Int = {
+  def evaluate(instance: LocalGraph, delta: Int, config: BoundConfig,
+               floor: Int = Int.MinValue): Int = {
     if (!config.any) return Int.MaxValue
-    if (instance.n == 0) return 0
-    val colors = Coloring.greedyLocal(instance)
+    val n = instance.n
+    if (n == 0) return 0
     var best = Int.MaxValue
+    // lower `best` to `ub`; true once it is at or below the floor
+    def cut(ub: Int): Boolean = { best = math.min(best, ub); best <= floor }
+    lazy val colors = Coloring.greedyLocal(instance)
     if (config.ad) {
+      var cntA = 0
+      var v = 0
+      while (v < n) { if (instance.attr(v) == 0) cntA += 1; v += 1 }
+      if (cut(ubA(cntA, n - cntA, delta))) return best
       val (all, colA, colB, cA, cB, cM) = colorStats(instance, colors)
-      val (cntA, cntB) = FairClique.counts(instance, 0 until instance.n)
-      best = math.min(best, ubA(cntA, cntB, delta))
-      best = math.min(best, ubC(all))
-      best = math.min(best, ubAC(colA, colB, delta))
-      best = math.min(best, ubEAC(cA, cB, cM, delta))
+      if (cut(math.min(ubC(all), math.min(ubAC(colA, colB, delta), ubEAC(cA, cB, cM, delta)))))
+        return best
     }
-    if (config.degeneracy) best = math.min(best, ubDegeneracy(instance))
-    if (config.hIndex) best = math.min(best, ubHIndex(instance))
-    if (config.colorfulDegeneracy)
-      best = math.min(best, ubColorfulDegeneracy(instance, colors, delta))
-    if (config.colorfulHIndex)
-      best = math.min(best, ubColorfulHIndex(instance, colors, delta))
-    if (config.colorfulPath) best = math.min(best, ubColorfulPath(instance, colors))
+    if (config.degeneracy && cut(ubDegeneracy(instance))) return best
+    if (config.hIndex && cut(ubHIndex(instance))) return best
+    if (config.colorfulDegeneracy && cut(ubColorfulDegeneracy(instance, colors, delta)))
+      return best
+    if (config.colorfulHIndex && cut(ubColorfulHIndex(instance, colors, delta))) return best
+    if (config.colorfulPath) cut(ubColorfulPath(instance, colors))
     best
   }
 }

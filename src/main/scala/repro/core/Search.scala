@@ -343,6 +343,8 @@ object Search {
       var j = 0
       while (j < d) { if (po.attr(cands(j)) == 0) cA += 1; j += 1 }
       if (rA + cA < k || rB + cSize - cA < k) return 0
+      // Lemma 6: no fair clique of this ego network is larger than ub_a
+      if (Bounds.ubA(rA + cA, rB + cSize - cA, delta) <= bar) return 0
       build(cands)
       java.util.Arrays.fill(cur, 0, words, -1L)
       if ((d & 63) != 0) cur(words - 1) = (1L << d) - 1
@@ -698,18 +700,25 @@ object Search {
       cands = po.later(r)
       val d = cands.length
       if (1 + d >= 2 * k && 1 + d > bar) {
-        // evaluating a bound costs an induced subgraph + coloring; on tiny
-        // instances the search itself is cheaper than the bound
-        if (c.bounds.any && d >= 32) {
-          val ub = Bounds.evaluate(po.instance(r, pos), c.delta, c.bounds)
-          if (ub < 2 * k || ub <= bar) { prunedByBound += 1; return }
-        }
         rStack(0) = r
         cntA = if (po.attr(r) == 0) 1 else 0
         cntB = 1 - cntA
         var candA = 0
         var j = 0
         while (j < d) { if (po.attr(cands(j)) == 0) candA += 1; j += 1 }
+        // evaluating a bound costs an induced subgraph + coloring; on tiny
+        // instances the search itself is cheaper than the bound. Only the
+        // prune decision matters, so the bounds run cheapest first, and
+        // ub_a, which needs only the counts above, runs before the instance
+        // is built
+        if (c.bounds.any && d >= 32) {
+          val floor = math.max(2 * k - 1, bar)
+          if ((c.bounds.ad && Bounds.ubA(cntA + candA, cntB + d - candA, c.delta) <= floor) ||
+              Bounds.evaluate(po.instance(r, pos), c.delta, c.bounds, floor) <= floor) {
+            prunedByBound += 1
+            return
+          }
+        }
         if (enter(1, d, candA)) {
           buildRows()
           branch(1, 0, d, candA)

@@ -19,14 +19,38 @@ object Coloring {
 
   /** Sequential greedy coloring; returns colors indexed by internal id. */
   def greedyLocal(g: LocalGraph): Array[Int] = {
-    val order = Array.range(0, g.n).sortBy(v => (-g.degree(v), g.ids(v)))
-    val color = Array.fill(g.n)(-1)
+    val n = g.n
+    val maxDeg = g.maxDegree
+    // a vertex's rank is its place in (id, index) order; byRank maps a
+    // rank back to its vertex
+    val sortedIds = g.ids.clone()
+    java.util.Arrays.sort(sortedIds)
+    val taken = new Array[Int](n)
+    val byRank = new Array[Int](n)
+    // key (maxDeg - degree) * n + rank sorts vertices in (degree desc, id
+    // asc) order, as one primitive Long per vertex
+    val key = new Array[Long](n)
+    var u = 0
+    while (u < n) {
+      val id = g.ids(u)
+      // first place of id in sortedIds; equal ids rank in index order
+      var lo = 0
+      var hi = n
+      while (lo < hi) { val mid = (lo + hi) >>> 1; if (sortedIds(mid) < id) lo = mid + 1 else hi = mid }
+      val rank = lo + taken(lo)
+      taken(lo) += 1
+      byRank(rank) = u
+      key(u) = (maxDeg - g.degree(u)).toLong * n + rank
+      u += 1
+    }
+    java.util.Arrays.sort(key)
+    val color = Array.fill(n)(-1)
     // used(c) == s marks color c as taken by a neighbour of the s-th vertex;
     // a vertex of degree d gets a color <= d, so larger ones never block
-    val used = new Array[Int](g.maxDegree + 1)
+    val used = new Array[Int](maxDeg + 1)
     var s = 0
-    while (s < order.length) {
-      val v = order(s)
+    while (s < n) {
+      val v = byRank((key(s) % n).toInt)
       s += 1
       val nb = g.adj(v)
       var j = 0

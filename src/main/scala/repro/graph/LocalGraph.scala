@@ -187,24 +187,47 @@ final class LocalGraph(
   /** h-index of the degree sequence: max h with h vertices of degree >= h. */
   def hIndex: Int = LocalGraph.hIndexOf(Array.tabulate(n)(degree))
 
-  /** Connected components as ascending arrays of internal vertices. */
+  /** Connected components as ascending arrays of internal vertices, in
+    * order of their smallest vertex.
+    */
   def connectedComponents: Seq[Array[Int]] = {
-    val seen = new Array[Boolean](n)
-    val comps = mutable.ArrayBuffer.empty[Array[Int]]
-    (0 until n).foreach { s =>
-      if (!seen(s)) {
-        val comp = mutable.ArrayBuilder.make[Int]
-        val stack = mutable.ArrayDeque(s)
-        seen(s) = true
-        while (stack.nonEmpty) {
-          val v = stack.removeLast()
-          comp += v
-          adj(v).foreach(w => if (!seen(w)) { seen(w) = true; stack.append(w) })
+    // label(v): v's component, -1 until reached; each vertex is pushed once
+    val label = Array.fill(n)(-1)
+    val stack = new Array[Int](n)
+    val sizes = new Array[Int](n)
+    var comps = 0
+    var s = 0
+    while (s < n) {
+      if (label(s) < 0) {
+        label(s) = comps
+        stack(0) = s
+        var top = 1
+        while (top > 0) {
+          top -= 1
+          val nb = adj(stack(top))
+          sizes(comps) += 1
+          var j = 0
+          while (j < nb.length) {
+            val w = nb(j)
+            if (label(w) < 0) { label(w) = comps; stack(top) = w; top += 1 }
+            j += 1
+          }
         }
-        comps += comp.result().sorted
+        comps += 1
       }
+      s += 1
     }
-    comps.toSeq
+    // filling in vertex order keeps every component ascending
+    val out = Array.tabulate(comps)(c => new Array[Int](sizes(c)))
+    val fill = new Array[Int](comps)
+    var v = 0
+    while (v < n) {
+      val c = label(v)
+      out(c)(fill(c)) = v
+      fill(c) += 1
+      v += 1
+    }
+    scala.collection.immutable.ArraySeq.unsafeWrapArray(out)
   }
 
   /** All maximal cliques (Bron–Kerbosch with pivoting), internal indices.

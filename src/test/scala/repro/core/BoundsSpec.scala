@@ -102,6 +102,25 @@ class BoundsSpec extends AnyFunSuite {
     }
   }
 
+  test("evaluate with a floor decides the same prune as the full minimum") {
+    var early = 0
+    for (seed <- 1 to 12; pA <- Seq(0.2, 0.5, 0.8)) {
+      val g = GraphGen.randomLocal(16 + 2 * seed, 0.35, seed + 900, pA)
+      for ((nm, cfg) <- Bounds.BoundConfig.table2 ++ allConfigs; delta <- 0 to 3) {
+        val full = Bounds.evaluate(g, delta, cfg)
+        for (floor <- Int.MinValue +: (-1 to g.n + delta + 2)) {
+          val got = Bounds.evaluate(g, delta, cfg, floor)
+          val label = s"seed=$seed pA=$pA $nm delta=$delta floor=$floor full=$full got=$got"
+          assert((got <= floor) == (full <= floor), label)
+          assert(got >= full, label)
+          if (full > floor) assert(got == full, label)
+          if (got != full) early += 1
+        }
+      }
+    }
+    assert(early > 0, "no evaluation stopped before the minimum")
+  }
+
   test("evaluate with no bounds enabled returns MaxValue") {
     val g = GraphGen.randomLocal(10, 0.3, 1)
     assert(Bounds.evaluate(g, 1, Bounds.BoundConfig.none) == Int.MaxValue)

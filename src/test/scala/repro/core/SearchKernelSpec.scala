@@ -44,6 +44,37 @@ class SearchKernelSpec extends AnyFunSuite {
     }
   }
 
+  test("a root that ub_a alone prunes before its instance is built visits the reference tree") {
+    var decided = 0
+    var bounded = 0L
+    for (seed <- 1 to 4) {
+      // a b-hub joined to 40 a-vertices and one b-vertex of a dense graph:
+      // peeled first (D_min 1), it keeps 41 later neighbours, and their
+      // attribute counts give ub_a = 2·2 + δ
+      val base = GraphGen.randomLocal(90, 0.4, seed + 4000)
+      val rnd = new Random(seed)
+      val hub = base.n + 1L
+      def pick(attr: Int, cnt: Int): Seq[Long] =
+        rnd.shuffle((0 until base.n).filter(base.attr(_) == attr)).take(cnt).map(base.ids)
+      val edges = base.edgeList.map { case (u, v) => (base.ids(u), base.ids(v)) } ++
+        (pick(0, 40) ++ pick(1, 1)).map(hub -> _)
+      val g = LocalGraph.fromEdges(edges, base.ids.zip(base.attr).toMap + (hub -> 1))
+      val po = new Search.PeelOrder(g)
+      for (k <- 1 to 3; delta <- 0 to 2) {
+        decided += (0 until g.n).count { r =>
+          val d = po.later(r).length
+          val cntA = (r +: po.later(r)).count(po.attr(_) == 0)
+          d >= 32 && 1 + d >= 2 * k && Bounds.ubA(cntA, 1 + d - cntA, delta) < 2 * k
+        }
+        for ((name, cfg) <- Bounds.BoundConfig.table2)
+          bounded += sameTree(g, k, delta, cfg, 0, Long.MaxValue,
+            s"seed=$seed k=$k d=$delta $name").prunedByBound
+      }
+    }
+    assert(decided > 0, "ub_a never decided a root")
+    assert(bounded > 0, "no bound ever pruned")
+  }
+
   test("bitset search truncates at the same node as the reference") {
     var cut = 0
     for (n <- graphs; seed <- seeds.take(10); k <- 1 to 2) {

@@ -3,9 +3,10 @@ package repro.graph
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** Distributed whole-graph operations used by the reduction pipeline:
-  * iterative k-core peeling and connected components, both as DataFrame
-  * fixpoint loops with per-round `localCheckpoint` to cut lineage.
+/** Distributed whole-graph operations the pipeline does not use, kept as
+  * cross-checked DataFrame references: iterative k-core peeling and
+  * connected components, both as fixpoint loops with per-round
+  * `localCheckpoint` to cut lineage.
   */
 object GraphOps {
 

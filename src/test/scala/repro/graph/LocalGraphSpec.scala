@@ -158,6 +158,19 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("connectedComponents lists interleaved components by smallest vertex, each ascending") {
+    // components {0, 3, 6, 9}, {1, 7}, {4, 8} interleave; 2 and 5 are isolated
+    val edges = Seq((0, 6), (6, 3), (9, 3), (7, 1), (4, 8))
+    val g = new LocalGraph(Array.tabulate(10)(_.toLong), new Array[Int](10),
+      Array.tabulate(10)(v => edges.collect {
+        case (a, b) if a == v => b
+        case (a, b) if b == v => a
+      }.sorted.toArray))
+    assert(g.connectedComponents.map(_.toSeq) ==
+      Seq(Seq(0, 3, 6, 9), Seq(1, 7), Seq(2), Seq(4, 8), Seq(5)))
+    assert(new LocalGraph(Array.empty, Array.empty, Array.empty).connectedComponents.isEmpty)
+  }
+
   private def refMaximalCliques(g: LocalGraph): Set[Set[Int]] = {
     // brute force over all subsets (tiny graphs only)
     val all = (0 until g.n).toSet.subsets().filter(s => s.nonEmpty && g.isClique(s)).toSeq
