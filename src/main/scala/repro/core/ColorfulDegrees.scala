@@ -5,8 +5,6 @@ import org.apache.spark.sql.functions._
 
 import repro.graph.{AttributedGraph, LocalGraph}
 
-import scala.collection.mutable
-
 /** Colorful degree (Definition 2), enhanced colorful degree (Definition 4)
   * and the vertex-level reductions built from them: the colorful k-core
   * (Definition 3 / Lemma 1) and the enhanced colorful k-core
@@ -118,8 +116,27 @@ object ColorfulDegrees {
     */
   def localColorfulDegrees(g: LocalGraph, colors: Array[Int],
                            alive: Array[Boolean]): (Array[Int], Array[Int]) = {
+    val (dA, dB, _) = localColorCounts(g, colors, alive)
+    (dA, dB)
+  }
+
+  /** Local enhanced colorful degree `ED(u)` under an `alive` mask, 0 for
+    * dead `u`. `colors` are non-negative.
+    */
+  def localEnhancedDegrees(g: LocalGraph, colors: Array[Int],
+                           alive: Array[Boolean]): Array[Int] = {
+    val (dA, dB, cM) = localColorCounts(g, colors, alive)
+    Array.tabulate(g.n)(u => if (alive(u)) edOf(dA(u) - cM(u), dB(u) - cM(u), cM(u)) else 0)
+  }
+
+  /** `(dA, dB, cM)` per vertex under an `alive` mask: [[localColorfulDegrees]]
+    * plus `cM(u)`, the colors seen on alive neighbours of both attributes.
+    */
+  private def localColorCounts(g: LocalGraph, colors: Array[Int],
+                               alive: Array[Boolean]): (Array[Int], Array[Int], Array[Int]) = {
     val dA = new Array[Int](g.n)
     val dB = new Array[Int](g.n)
+    val cM = new Array[Int](g.n)
     var maxColor = -1
     var i = 0
     while (i < colors.length) { maxColor = math.max(maxColor, colors(i)); i += 1 }
@@ -135,39 +152,18 @@ object ColorfulDegrees {
           val v = nb(j)
           if (alive(v)) {
             val c = colors(v)
-            if (g.attr(v) == 0) { if (seenA(c) != u + 1) { seenA(c) = u + 1; dA(u) += 1 } }
-            else if (seenB(c) != u + 1) { seenB(c) = u + 1; dB(u) += 1 }
+            if (g.attr(v) == 0) {
+              if (seenA(c) != u + 1) { seenA(c) = u + 1; dA(u) += 1; if (seenB(c) == u + 1) cM(u) += 1 }
+            } else if (seenB(c) != u + 1) {
+              seenB(c) = u + 1; dB(u) += 1; if (seenA(c) == u + 1) cM(u) += 1
+            }
           }
           j += 1
         }
       }
       u += 1
     }
-    (dA, dB)
-  }
-
-  /** Local enhanced colorful degree `ED(u)` under an `alive` mask. */
-  def localEnhancedDegrees(g: LocalGraph, colors: Array[Int],
-                           alive: Array[Boolean]): Array[Int] = {
-    Array.tabulate(g.n) { u =>
-      if (!alive(u)) 0
-      else {
-        val flags = mutable.HashMap.empty[Int, Int] // color -> bit0 hasA, bit1 hasB
-        g.adj(u).foreach { v =>
-          if (alive(v)) {
-            val bit = if (g.attr(v) == 0) 1 else 2
-            flags.updateWith(colors(v)) { old => Some(old.getOrElse(0) | bit) }
-          }
-        }
-        var cA = 0; var cB = 0; var cM = 0
-        flags.valuesIterator.foreach {
-          case 1 => cA += 1
-          case 2 => cB += 1
-          case _ => cM += 1
-        }
-        edOf(cA, cB, cM)
-      }
-    }
+    (dA, dB, cM)
   }
 
   /** Local batch peeling to the colorful core; returns surviving internal

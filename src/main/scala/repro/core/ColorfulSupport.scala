@@ -3,12 +3,11 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.graph.{AttributedGraph, LocalGraph}
-
-import scala.collection.mutable
+import repro.graph.AttributedGraph
 
 /** Colorful support (Definition 6) and enhanced colorful support
-  * (Definition 7) of edges, distributed + local.
+  * (Definition 7) of edges as DataFrames; the driver-side peel keeps the
+  * same counts incrementally (`LocalReductions`).
   *
   * For an edge `(u, v)`, `sup_a(u,v)` counts distinct colors among common
   * neighbours of `u` and `v` with attribute a. The enhanced variant
@@ -115,57 +114,5 @@ object ColorfulSupport {
         coalesce(col("cA"), lit(0)).as("cA"),
         coalesce(col("cB"), lit(0)).as("cB"),
         coalesce(col("cM"), lit(0)).as("cM"))
-  }
-
-  // ---------------------------------------------------------------- local
-
-  /** Local colorful supports for every surviving edge: map from canonical
-    * internal edge to `(supA, supB)`; honours an edge-alive predicate.
-    */
-  def localColorfulSupports(g: LocalGraph, colors: Array[Int],
-                            edgeAlive: (Int, Int) => Boolean): mutable.Map[(Int, Int), (Int, Int)] = {
-    val out = mutable.HashMap.empty[(Int, Int), (Int, Int)]
-    (0 until g.n).foreach { u =>
-      g.adj(u).foreach { v =>
-        if (u < v && edgeAlive(u, v)) {
-          val seenA = mutable.BitSet.empty
-          val seenB = mutable.BitSet.empty
-          g.intersectNeighbors(u, g.adj(v)).foreach { w =>
-            if (edgeAlive(u, w) && edgeAlive(v, w)) {
-              if (g.attr(w) == 0) seenA += colors(w) else seenB += colors(w)
-            }
-          }
-          out((u, v)) = (seenA.size, seenB.size)
-        }
-      }
-    }
-    out
-  }
-
-  /** Local enhanced-support groups `(cA, cB, cM)` per surviving edge. */
-  def localEnhancedGroups(g: LocalGraph, colors: Array[Int],
-                          edgeAlive: (Int, Int) => Boolean): mutable.Map[(Int, Int), (Int, Int, Int)] = {
-    val out = mutable.HashMap.empty[(Int, Int), (Int, Int, Int)]
-    (0 until g.n).foreach { u =>
-      g.adj(u).foreach { v =>
-        if (u < v && edgeAlive(u, v)) {
-          val flags = mutable.HashMap.empty[Int, Int]
-          g.intersectNeighbors(u, g.adj(v)).foreach { w =>
-            if (edgeAlive(u, w) && edgeAlive(v, w)) {
-              val bit = if (g.attr(w) == 0) 1 else 2
-              flags.updateWith(colors(w))(o => Some(o.getOrElse(0) | bit))
-            }
-          }
-          var cA = 0; var cB = 0; var cM = 0
-          flags.valuesIterator.foreach {
-            case 1 => cA += 1
-            case 2 => cB += 1
-            case _ => cM += 1
-          }
-          out((u, v)) = (cA, cB, cM)
-        }
-      }
-    }
-    out
   }
 }

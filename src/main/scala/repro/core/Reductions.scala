@@ -111,15 +111,16 @@ object Reductions {
       LocalReductions.enColorfulSupStep))
 
   /** Live edge count at or under which [[cascade]] runs its remaining
-    * stages on the driver. The driver-side peel (`LocalReductions`) keeps,
-    * per edge, two color-count maps over its common neighbours. Measured on
-    * pokec-lite (179k edges, the densest lite input; k = 2..6; peak live
-    * heap sampled with forced full GCs during `LocalReductions.cascade`)
-    * the peel peaks at 430–550 bytes per input edge on top of the
-    * collected `LocalGraph`'s 47 bytes per edge: about 0.6 GB at this
-    * limit, under a third of a 2 GB driver heap. The same peel takes
-    * 1.3–1.9 s there, while each DataFrame peel round costs seconds of
-    * fixed Spark overhead.
+    * stages on the driver. The driver-side peel (`LocalReductions`) keeps
+    * flat per-edge arrays plus one packed (key, count) pair per distinct
+    * apex key of each edge. Measured on pokec-lite (179k edges, the
+    * densest lite input; k = 2..6; peak live heap sampled with forced full
+    * GCs every 20 ms during `LocalReductions.cascade`, serial GC, 3 GB
+    * heap, 4 cores) the peel peaks at 55–141 bytes per input edge on top
+    * of the collected `LocalGraph`: about 0.14 GB at this limit, a
+    * fourteenth of a 2 GB driver heap. The whole driver cascade takes
+    * 0.25–0.3 s on pokec-lite, while each DataFrame peel round costs
+    * seconds of fixed Spark overhead.
     */
   val LocalEdgeLimit: Long = 1000000L
 
@@ -156,21 +157,18 @@ object Reductions {
     val (onDriver, driverColors) =
       if (distStats.isEmpty) (lg, colorArr)
       else {
-        val index = lg.ids.iterator.zipWithIndex.toMap
         val collected = cur.toLocal
-        (collected, collected.ids.map(id => colorArr(index(id))))
+        (collected, collected.ids.map(id => colorArr(java.util.Arrays.binarySearch(lg.ids, id))))
       }
     val (reduced, localStats) = LocalReductions.runStages(rest, onDriver, driverColors, k)
     (reduced, distStats.toSeq ++ localStats)
   }
 }
 
-/** Driver-side reductions: the incremental priority-queue peeling of
-  * Algorithm 1 (`colorfulSup` / `enColorfulSup`, `O(α·m)`-ish), which
-  * `Reductions.cascade` runs once the live graph fits under its edge limit,
-  * plus simple batch-peeling references (`*Batch`) used to cross-validate
-  * them and the distributed fixpoints — all three reach the same unique
-  * maximal subgraph.
+/** Driver-side reductions: the incremental queue peeling of Algorithm 1
+  * (`colorfulSup` / `enColorfulSup`), which `Reductions.cascade` runs once
+  * the live graph fits under its edge limit. It reaches the same unique
+  * maximal subgraph as the distributed batch rounds.
   */
 object LocalReductions {
 
@@ -187,123 +185,206 @@ object LocalReductions {
     sA < tA || sB < tB
   }
 
-  /** Shared incremental peeling engine (Algorithm 1's structure).
+  /** Algorithm 1's state on flat arrays, in the in-memory truss-peeling
+    * layout of Wang & Cheng (PVLDB 2012).
     *
-    * Per edge it tracks the count of common neighbours per (attribute,
-    * color) — the paper's `M_(u,v)` — and a violation predicate over the
-    * counts. An edge removal decrements, for every triangle alive at that
-    * moment, the two remaining edges (each triangle is accounted exactly
-    * once: by the time its second edge goes, the first is already dead and
-    * the live-common-neighbour scan skips it).
+    * Edge `e` joins `eu(e) < ev(e)`; adjacency slot `start(u) + j` (`u`'s
+    * `j`-th neighbour) carries its edge id in `eid`. The triangles on edge
+    * `(u, v)` come from marking `u`'s list with positions and scanning
+    * `v`'s, which also yields their other two edges, with no hashing. The
+    * paper's `M_(u,v)`: an apex `w` has key `2·color(w) + attr(w)`; edge
+    * `e`'s distinct apex keys, ascending, with their live counts, are the
+    * pairs `(apex(2s), apex(2s + 1))` for slots `s` in `off(e) until
+    * off(e + 1)`, sized by a counting pass. `dA(e)` / `dB(e)` count its
+    * keys of attribute a / b with a positive count, `cM(e)` its colours
+    * with both; a count that drops to 0 updates them in O(1), its colour's
+    * other key being the neighbouring slot.
     */
-  private def peelIncremental(g: LocalGraph, colors: Array[Int],
-                              violated: (Int, mutable.HashMap[Int, Int], mutable.HashMap[Int, Int]) => Boolean):
-      LocalGraph = {
-    val edges = g.edgeList
-    val eIdx = mutable.LongMap.empty[Int]
-    def key(u: Int, v: Int): Long =
-      (math.min(u, v).toLong << 32) | math.max(u, v).toLong
-    edges.zipWithIndex.foreach { case ((u, v), i) => eIdx(key(u, v)) = i }
-
-    val removed = new Array[Boolean](edges.length)
-    // M_(u,v): color -> live common-neighbour count, split by attribute
-    val mA = Array.fill(edges.length)(mutable.HashMap.empty[Int, Int])
-    val mB = Array.fill(edges.length)(mutable.HashMap.empty[Int, Int])
-
-    edges.zipWithIndex.foreach { case ((u, v), i) =>
-      g.intersectNeighbors(u, g.adj(v)).foreach { w =>
-        val m = if (g.attr(w) == 0) mA(i) else mB(i)
-        m.updateWith(colors(w))(o => Some(o.getOrElse(0) + 1))
-      }
-    }
-
-    val worklist = mutable.ArrayDeque.empty[Int]
-    def check(i: Int): Unit =
-      if (!removed(i) && violated(i, mA(i), mB(i))) { worklist.append(i) }
-
-    // atomic mark + triangle decrement for one edge
-    def doRemove(i: Int): Unit = {
-      removed(i) = true
-      val (u, v) = edges(i)
-      g.intersectNeighbors(u, g.adj(v)).foreach { w =>
-        val iuw = eIdx(key(u, w))
-        val ivw = eIdx(key(v, w))
-        if (!removed(iuw) && !removed(ivw)) {
-          // w stops being a common neighbour of (u,·) via v and (v,·) via u
-          dec(iuw, g.attr(v), colors(v))
-          dec(ivw, g.attr(u), colors(u))
-          check(iuw); check(ivw)
+  private final class ApexCounts(g: LocalGraph, colors: Array[Int]) {
+    private val n = g.n
+    private val m = g.m.toInt
+    private val start = new Array[Int](n + 1)
+    for (u <- 0 until n) start(u + 1) = start(u) + g.degree(u)
+    private val eid = new Array[Int](start(n))
+    val eu = new Array[Int](m)
+    val ev = new Array[Int](m)
+    locally {
+      // u's slot for a smaller neighbour v was filled when v came up: the
+      // smaller neighbours head u's sorted list in ascending order
+      val lower = new Array[Int](n)
+      var e = 0
+      for (u <- 0 until n; j <- g.adj(u).indices) {
+        val v = g.adj(u)(j)
+        if (v > u) {
+          eid(start(u) + j) = e
+          eid(start(v) + lower(v)) = e
+          lower(v) += 1
+          eu(e) = u
+          ev(e) = v
+          e += 1
         }
       }
     }
-    def dec(i: Int, attr: Int, color: Int): Unit = {
-      val m = if (attr == 0) mA(i) else mB(i)
-      m.updateWith(color) {
-        case Some(1) => None
-        case Some(c) => Some(c - 1)
-        case None => None // defensive; cannot happen
+    private val key = Array.tabulate(n)(w => 2 * colors(w) + g.attr(w))
+    // mark(w): w's position in the list of the vertex being intersected, else -1
+    private val mark = Array.fill(n)(-1)
+    private val off = new Array[Int](m + 1)
+    val dA = new Array[Int](m)
+    val dB = new Array[Int](m)
+    val cM = new Array[Int](m)
+    private val apex: Array[Int] = {
+      val keys = if (n == 0) 0 else key.max + 1
+      // one edge's apex keys as bits, and their counts
+      val present = new Array[Long]((keys + 63) >>> 6)
+      val count = new Array[Int](keys)
+      var apex = Array.emptyIntArray
+      // pass 0 sizes every edge's slot range, pass 1 fills it
+      for (pass <- 0 to 1) {
+        if (pass == 1) {
+          for (e <- 0 until m) off(e + 1) += off(e)
+          apex = new Array[Int](2 * off(m))
+        }
+        // each edge from its endpoint of larger (degree, index), scanning
+        // the other's list: O(min degree) per edge
+        for (u <- 0 until n) {
+          setMarks(u, on = true)
+          val nu = g.adj(u)
+          for (jv <- nu.indices if below(nu(jv), u)) {
+            val e = eid(start(u) + jv)
+            val nv = g.adj(nu(jv))
+            var lo = present.length
+            var hi = -1
+            var jw = 0
+            while (jw < nv.length) {
+              if (mark(nv(jw)) >= 0) {
+                val k = key(nv(jw))
+                present(k >>> 6) |= 1L << k
+                count(k) += 1
+                lo = math.min(lo, k >>> 6)
+                hi = math.max(hi, k >>> 6)
+              }
+              jw += 1
+            }
+            // drain the bits in ascending key order (pass 0 only counts them)
+            var s = if (pass == 0) 0 else off(e)
+            for (w <- lo to hi) {
+              var bits = present(w)
+              present(w) = 0
+              while (bits != 0) {
+                val k = (w << 6) | java.lang.Long.numberOfTrailingZeros(bits)
+                bits &= bits - 1
+                if (pass == 1) {
+                  apex(2 * s) = k
+                  apex(2 * s + 1) = count(k)
+                  if ((k & 1) == 0) dA(e) += 1
+                  else {
+                    dB(e) += 1
+                    if (s > off(e) && apex(2 * s - 2) == k - 1) cM(e) += 1
+                  }
+                }
+                count(k) = 0
+                s += 1
+              }
+            }
+            if (pass == 0) off(e + 1) = s
+          }
+          setMarks(u, on = false)
+        }
       }
+      apex
     }
 
-    edges.indices.foreach(check)
-    while (worklist.nonEmpty) {
-      val i = worklist.removeHead()
-      if (!removed(i) && violated(i, mA(i), mB(i))) doRemove(i)
+    private def below(v: Int, u: Int): Boolean =
+      g.degree(v) < g.degree(u) || (g.degree(v) == g.degree(u) && v < u)
+
+    private def setMarks(u: Int, on: Boolean): Unit = {
+      val nu = g.adj(u)
+      var j = 0
+      while (j < nu.length) { mark(nu(j)) = if (on) j else -1; j += 1 }
     }
 
-    val dead = edges.indices.filter(removed).map(i => edges(i)).toSet
-    g.withoutEdges(dead)
+    /** One apex with key `k` of edge `e` is gone. Returns whether a
+      * distinct count changed.
+      */
+    private def decrement(e: Int, k: Int): Boolean = {
+      // branch-free search: the last slot whose key is <= k
+      var lo = off(e)
+      var len = off(e + 1) - lo
+      while (len > 1) {
+        val half = len >>> 1
+        lo = if (apex(2 * (lo + half)) <= k) lo + half else lo
+        len -= half
+      }
+      apex(2 * lo + 1) -= 1
+      if (apex(2 * lo + 1) > 0) return false
+      // the colour's other key sits next to k when e has it
+      val other = if ((k & 1) == 0) lo + 1 else lo - 1
+      if (other >= off(e) && other < off(e + 1) && apex(2 * other) == (k ^ 1) &&
+          apex(2 * other + 1) > 0) cM(e) -= 1
+      if ((k & 1) == 0) dA(e) -= 1 else dB(e) -= 1
+      true
+    }
+
+    /** Peels every edge that is `violated`, or becomes so as triangles
+      * die, and returns the graph of the others. Each triangle is
+      * subtracted once, when its first edge is processed: by the time a
+      * second one is, the triangle has a dead edge and is skipped. A
+      * queued edge still counts as live until it is processed.
+      */
+    def peel(violated: Int => Boolean): LocalGraph = {
+      val queued = new java.util.BitSet(m)
+      val dead = new java.util.BitSet(m)
+      val worklist = new Array[Int](m)
+      var tail = 0
+      def check(e: Int): Unit =
+        if (!queued.get(e) && violated(e)) { queued.set(e); worklist(tail) = e; tail += 1 }
+      for (e <- 0 until m) check(e)
+      var head = 0
+      while (head < tail) {
+        val e = worklist(head)
+        head += 1
+        dead.set(e)
+        val u = eu(e)
+        val v = ev(e)
+        setMarks(u, on = true)
+        val nv = g.adj(v)
+        var jw = 0
+        while (jw < nv.length) {
+          val i = mark(nv(jw))
+          if (i >= 0) {
+            val uw = eid(start(u) + i)
+            val vw = eid(start(v) + jw)
+            if (!dead.get(uw) && !dead.get(vw)) {
+              if (decrement(uw, key(v))) check(uw)
+              if (decrement(vw, key(u))) check(vw)
+            }
+          }
+          jw += 1
+        }
+        setMarks(u, on = false)
+      }
+      val adj = Array.tabulate(n) { u =>
+        val nb = g.adj(u)
+        val kept = new Array[Int](nb.length)
+        var len = 0
+        for (j <- nb.indices if !queued.get(eid(start(u) + j))) { kept(len) = nb(j); len += 1 }
+        java.util.Arrays.copyOf(kept, len)
+      }
+      new LocalGraph(g.ids, g.attr, adj)
+    }
   }
 
   /** ColorfulSup reduction (Algorithm 1) on a local graph. */
   def colorfulSup(g: LocalGraph, colors: Array[Int], k: Int): LocalGraph = {
-    val edges = g.edgeList
-    peelIncremental(g, colors, (i, ma, mb) => {
-      val (u, v) = edges(i)
-      supViolated(g.attr(u), g.attr(v), ma.size, mb.size, k)
-    })
+    val c = new ApexCounts(g, colors)
+    c.peel(e => supViolated(g.attr(c.eu(e)), g.attr(c.ev(e)), c.dA(e), c.dB(e), k))
   }
 
   /** EnColorfulSup reduction (Lemma 4) on a local graph. */
   def enColorfulSup(g: LocalGraph, colors: Array[Int], k: Int): LocalGraph = {
-    val edges = g.edgeList
-    peelIncremental(g, colors, (i, ma, mb) => {
-      var cA = 0; var cB = 0; var cM = 0
-      ma.keysIterator.foreach(c => if (mb.contains(c)) cM += 1 else cA += 1)
-      cB = mb.size - cM
-      val (u, v) = edges(i)
-      enSupViolated(g.attr(u), g.attr(v), cA, cB, cM, k)
-    })
-  }
-
-  /** Batch-peeling reference for [[colorfulSup]] (tests only). */
-  def colorfulSupBatch(g: LocalGraph, colors: Array[Int], k: Int): LocalGraph =
-    peelEdgesLocal(g) { (cur, aliveEdge) =>
-      ColorfulSupport.localColorfulSupports(cur, colors, aliveEdge).collect {
-        case ((u, v), (sA, sB)) if supViolated(cur.attr(u), cur.attr(v), sA, sB, k) => (u, v)
-      }.toSeq
-    }
-
-  /** Batch-peeling reference for [[enColorfulSup]] (tests only). */
-  def enColorfulSupBatch(g: LocalGraph, colors: Array[Int], k: Int): LocalGraph =
-    peelEdgesLocal(g) { (cur, aliveEdge) =>
-      ColorfulSupport.localEnhancedGroups(cur, colors, aliveEdge).collect {
-        case ((u, v), (cA, cB, cM)) if enSupViolated(cur.attr(u), cur.attr(v), cA, cB, cM, k) => (u, v)
-      }.toSeq
-    }
-
-  private def peelEdgesLocal(g: LocalGraph)
-      (violators: (LocalGraph, (Int, Int) => Boolean) => Seq[(Int, Int)]): LocalGraph = {
-    val dead = mutable.HashSet.empty[(Int, Int)]
-    def alive(u: Int, v: Int): Boolean =
-      !dead.contains((math.min(u, v), math.max(u, v)))
-    var changed = true
-    while (changed) {
-      val bad = violators(g, alive)
-      changed = bad.nonEmpty
-      bad.foreach { case (u, v) => dead += ((math.min(u, v), math.max(u, v))) }
-    }
-    g.withoutEdges(dead.toSet)
+    val c = new ApexCounts(g, colors)
+    c.peel(e => enSupViolated(g.attr(c.eu(e)), g.attr(c.ev(e)),
+      c.dA(e) - c.cM(e), c.dB(e) - c.cM(e), c.cM(e), k))
   }
 
   /** EnColorfulCore stage (Lemma 2 at `k − 1`): the subgraph induced by

@@ -1,7 +1,13 @@
 package repro.graph
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DataType, IntegerType, LongType}
+
+import java.io.ByteArrayOutputStream
+import java.util.Arrays
 
 /** Distributed attributed graph.
   *
@@ -50,26 +56,13 @@ final case class AttributedGraph(vertices: DataFrame, edges: DataFrame) {
   def checkpointed(): AttributedGraph =
     AttributedGraph(AttributedGraph.refreshed(vertices), AttributedGraph.refreshed(edges))
 
-  /** Collect into a [[LocalGraph]]. Every pipeline input passes through
-    * here, so this is where the input contract is checked: vertex ids are
-    * unique, attributes are 0 or 1, and every edge endpoint has a vertex
-    * row. Anything else is rejected with an `IllegalArgumentException`.
+  /** Collect into a [[LocalGraph]] with one Spark job. Every pipeline
+    * input passes through here, so this is where the input contract is
+    * checked: `id: long`, `attr: int`, `src` and `dst: long`, no nulls,
+    * unique vertex ids, attributes 0 or 1, and a vertex row for every edge
+    * endpoint. Anything else is rejected with an `IllegalArgumentException`.
     */
-  def toLocal: LocalGraph = {
-    val vs = vertices.select("id", "attr").collect().map(r => r.getLong(0) -> r.getInt(1))
-    val attrs = vs.toMap
-    require(attrs.size == vs.length,
-      s"duplicate vertex id ${vs.groupBy(_._1).collectFirst { case (id, rs) if rs.length > 1 => id }.get}")
-    vs.find { case (_, a) => a != 0 && a != 1 }.foreach { case (id, a) =>
-      throw new IllegalArgumentException(s"vertex $id has attribute $a; attributes must be 0 or 1")
-    }
-    val es = edges.select("src", "dst").collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSeq
-    es.find { case (u, v) => !attrs.contains(u) || !attrs.contains(v) }.foreach { case (u, v) =>
-      throw new IllegalArgumentException(s"edge ($u, $v) has an endpoint without a vertex row")
-    }
-    LocalGraph.fromEdges(es, attrs)
-  }
+  def toLocal: LocalGraph = AttributedGraph.collectLocal(vertices, edges)
 }
 
 object AttributedGraph {
@@ -86,6 +79,137 @@ object AttributedGraph {
   def refreshed(df: DataFrame): DataFrame = {
     val cp = df.localCheckpoint(true)
     cp.sparkSession.createDataFrame(cp.rdd, cp.schema)
+  }
+
+  /** [[AttributedGraph.toLocal]]: one job over the union of both sides'
+    * rows, one block per partition (vertex partitions first, as the union
+    * orders them). A block is a status byte (0, or 1 + the index of the
+    * first of the two columns found null), the row count, and per row the
+    * zigzag varint gaps of both columns from the previous row's values.
+    */
+  private def collectLocal(vertices: DataFrame, edges: DataFrame): LocalGraph = {
+    val (vRows, Seq(id, at)) = rowsOf(vertices, "vertices", "id" -> LongType, "attr" -> IntegerType)
+    val (eRows, Seq(src, dst)) = rowsOf(edges, "edges", "src" -> LongType, "dst" -> LongType)
+    val blocks = vRows.sparkContext.union(
+      vRows.mapPartitions(rows => Iterator(encode(rows, id, at, intSecond = true))),
+      eRows.mapPartitions(rows => Iterator(encode(rows, src, dst, intSecond = false)))).collect()
+    val (vBlocks, eBlocks) = blocks.splitAt(vRows.getNumPartitions)
+    val (vIds, vAttrs) = decode(vBlocks, "vertices", "id", "attr")
+    val (us, vs) = decode(eBlocks, "edges", "src", "dst")
+
+    val ids = vIds.clone()
+    Arrays.sort(ids)
+    for (i <- 1 until ids.length if ids(i) == ids(i - 1))
+      throw new IllegalArgumentException(s"duplicate vertex id ${ids(i)}")
+    val attr = new Array[Int](ids.length)
+    for (i <- vIds.indices) {
+      if (vAttrs(i) != 0 && vAttrs(i) != 1) throw new IllegalArgumentException(
+        s"vertex ${vIds(i)} has attribute ${vAttrs(i)}; attributes must be 0 or 1")
+      attr(Arrays.binarySearch(ids, vIds(i))) = vAttrs(i).toInt
+    }
+    val keys = new Array[Long](us.length)
+    for (e <- us.indices) {
+      val u = Arrays.binarySearch(ids, us(e))
+      val v = Arrays.binarySearch(ids, vs(e))
+      if (u < 0 || v < 0) throw new IllegalArgumentException(
+        s"edge (${us(e)}, ${vs(e)}) has an endpoint without a vertex row")
+      keys(e) = LocalGraph.pack(u, v)
+    }
+    LocalGraph.fromPacked(ids, attr, keys, keys.length)
+  }
+
+  /** `df`'s rows, and the positions in them of `columns` found by name
+    * in its schema, after checking their types. The rows come from the
+    * Dataset's own physical plan, planned once per Dataset.
+    */
+  private def rowsOf(df: DataFrame, side: String,
+                     columns: (String, DataType)*): (RDD[InternalRow], Seq[Int]) = {
+    val pos = columns.map { case (name, want) =>
+      val i = df.schema.fieldNames.indexOf(name)
+      if (i < 0) throw new IllegalArgumentException(s"$side have no column '$name'")
+      val got = df.schema(i).dataType
+      if (got != want) throw new IllegalArgumentException(
+        s"$side column '$name' must be ${want.typeName}, got ${got.typeName}")
+      i
+    }
+    (df.queryExecution.toRdd, pos)
+  }
+
+  /** The block of one partition: columns `first` (long) and `second` (int
+    * when `intSecond`, else long) of its rows.
+    */
+  private def encode(rows: Iterator[InternalRow], first: Int, second: Int,
+                     intSecond: Boolean): Array[Byte] = {
+    val body = new ByteArrayOutputStream()
+    var count = 0
+    var (x0, y0) = (0L, 0L)
+    while (rows.hasNext) {
+      val r = rows.next()
+      if (r.isNullAt(first)) return Array[Byte](1)
+      if (r.isNullAt(second)) return Array[Byte](2)
+      val x = r.getLong(first)
+      val y = if (intSecond) r.getInt(second).toLong else r.getLong(second)
+      writeVarint(body, zigzag(x - x0))
+      writeVarint(body, zigzag(y - y0))
+      x0 = x
+      y0 = y
+      count += 1
+    }
+    val out = new ByteArrayOutputStream(body.size + 6)
+    out.write(0)
+    writeVarint(out, count)
+    body.writeTo(out)
+    out.toByteArray
+  }
+
+  /** Both columns of `blocks`' rows, in block order; a block holding a
+    * null is rejected with the name of its column.
+    */
+  private def decode(blocks: Array[Array[Byte]], side: String,
+                     names: String*): (Array[Long], Array[Long]) = {
+    blocks.foreach { b =>
+      if (b(0) != 0) throw new IllegalArgumentException(
+        s"$side column '${names(b(0) - 1)}' holds a null")
+    }
+    val readers = blocks.map(b => new VarintReader(b))
+    val counts = readers.map(_.next().toInt)
+    val (xs, ys) = (new Array[Long](counts.sum), new Array[Long](counts.sum))
+    var i = 0
+    readers.zip(counts).foreach { case (in, count) =>
+      var (x, y) = (0L, 0L)
+      for (_ <- 0 until count) {
+        x += unzigzag(in.next())
+        y += unzigzag(in.next())
+        xs(i) = x
+        ys(i) = y
+        i += 1
+      }
+    }
+    (xs, ys)
+  }
+
+  private def zigzag(x: Long): Long = (x << 1) ^ (x >> 63)
+
+  private def unzigzag(z: Long): Long = (z >>> 1) ^ -(z & 1)
+
+  /** Unsigned LEB128. */
+  private def writeVarint(out: ByteArrayOutputStream, x: Long): Unit = {
+    var v = x
+    while ((v & ~0x7FL) != 0) { out.write(((v & 0x7F) | 0x80).toInt); v >>>= 7 }
+    out.write(v.toInt)
+  }
+
+  /** Reads the varints of a block after its status byte. */
+  private final class VarintReader(b: Array[Byte]) {
+    private var pos = 1
+
+    def next(): Long = {
+      var v = 0L
+      var shift = 0
+      var byte = 0
+      while ({ byte = b(pos); pos += 1; v |= (byte & 0x7FL) << shift; shift += 7; byte < 0 }) ()
+      v
+    }
   }
 
   /** Build from raw edge and vertex DataFrames: canonicalizes edge

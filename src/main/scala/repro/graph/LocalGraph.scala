@@ -108,14 +108,6 @@ final class LocalGraph(
     new LocalGraph(sortedKeep.map(ids), sortedKeep.map(attr), newAdj)
   }
 
-  /** Subgraph after dropping the given undirected edges (internal ids). */
-  def withoutEdges(dropped: Set[(Int, Int)]): LocalGraph = {
-    def gone(u: Int, v: Int): Boolean =
-      dropped.contains((math.min(u, v), math.max(u, v)))
-    val newAdj = Array.tabulate(n)(u => adj(u).filter(v => !gone(u, v)))
-    new LocalGraph(ids, attr, newAdj)
-  }
-
   /** Whether the internal vertex set `vs` forms a clique. */
   def isClique(vs: Iterable[Int]): Boolean = {
     val arr = vs.toArray.sorted
@@ -261,26 +253,72 @@ object LocalGraph {
 
   /** Build from an external-id edge list plus attribute map.
     * Self-loops are dropped; duplicate edges are merged. Vertices present
-    * only in `attrs` (isolated) are kept.
+    * only in `attrs` (isolated) are kept; vertices present only in `edges`
+    * get attribute 0.
     */
   def fromEdges(edges: Iterable[(Long, Long)], attrs: Map[Long, Int]): LocalGraph = {
-    val idSet = mutable.SortedSet.empty[Long]
-    attrs.keysIterator.foreach(idSet += _)
-    edges.foreach { case (u, v) => idSet += u; idSet += v }
-    val ids = idSet.toArray
-    val index = ids.iterator.zipWithIndex.toMap
-    val nbrs = Array.fill(ids.length)(mutable.SortedSet.empty[Int])
+    val m = edges.size
+    val all = new Array[Long](attrs.size + 2 * m)
+    var len = 0
+    attrs.keysIterator.foreach { id => all(len) = id; len += 1 }
+    edges.foreach { case (u, v) => all(len) = u; all(len + 1) = v; len += 2 }
+    java.util.Arrays.sort(all)
+    var n = 0
+    for (id <- all if n == 0 || id != all(n - 1)) { all(n) = id; n += 1 }
+    val ids = java.util.Arrays.copyOf(all, n)
+    val keys = new Array[Long](m)
+    var i = 0
     edges.foreach { case (u, v) =>
-      if (u != v) {
-        val iu = index(u); val iv = index(v)
-        nbrs(iu) += iv; nbrs(iv) += iu
-      }
+      keys(i) = pack(java.util.Arrays.binarySearch(ids, u), java.util.Arrays.binarySearch(ids, v))
+      i += 1
     }
-    new LocalGraph(
-      ids,
-      ids.map(id => attrs.getOrElse(id, 0)),
-      nbrs.map(_.toArray)
-    )
+    fromPacked(ids, ids.map(id => attrs.getOrElse(id, 0)), keys, m)
+  }
+
+  /** `u` and `v` as one edge key for [[fromPacked]]. */
+  private[graph] def pack(u: Int, v: Int): Long = (u.toLong << 32) | v
+
+  /** The graph on `ids` (ascending, distinct) with attributes `attr` and
+    * the edges `keys(0 until m)`: internal index pairs as [[pack]]ed, in
+    * either direction. Self-loops are dropped and duplicates merged;
+    * `keys` is overwritten. O(m log m) primitive sorting.
+    */
+  private[graph] def fromPacked(ids: Array[Long], attr: Array[Int], keys: Array[Long],
+                                m: Int): LocalGraph = {
+    val n = ids.length
+    var len = 0
+    var i = 0
+    while (i < m) {
+      val u = (keys(i) >>> 32).toInt
+      val v = keys(i).toInt
+      if (u != v) { keys(len) = pack(math.min(u, v), math.max(u, v)); len += 1 }
+      i += 1
+    }
+    java.util.Arrays.sort(keys, 0, len)
+    val deg = new Array[Int](n)
+    var e = 0
+    i = 0
+    while (i < len) {
+      if (i == 0 || keys(i) != keys(i - 1)) {
+        keys(e) = keys(i); e += 1
+        deg((keys(i) >>> 32).toInt) += 1
+        deg(keys(i).toInt) += 1
+      }
+      i += 1
+    }
+    // keys ascend by (u, v), so every list fills in ascending order: v's
+    // smaller neighbours u arrive before the keys that start at v
+    val adj = Array.tabulate(n)(u => new Array[Int](deg(u)))
+    java.util.Arrays.fill(deg, 0)
+    i = 0
+    while (i < e) {
+      val u = (keys(i) >>> 32).toInt
+      val v = keys(i).toInt
+      adj(u)(deg(u)) = v; deg(u) += 1
+      adj(v)(deg(v)) = u; deg(v) += 1
+      i += 1
+    }
+    new LocalGraph(ids, attr, adj)
   }
 
   /** max h such that at least h entries of `values` are >= h. */

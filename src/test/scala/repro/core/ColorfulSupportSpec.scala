@@ -56,10 +56,10 @@ class ColorfulSupportSpec extends SparkSpec {
     val colorOf = Map(1L -> 5, 2L -> 6, 3L -> 0, 4L -> 1, 5L -> 2,
       6L -> 3, 7L -> 4, 8L -> 1, 9L -> 2)
     val colors = g.ids.map(colorOf)
-    val sup = ColorfulSupport.localColorfulSupports(g, colors, (_, _) => true)
+    val sup = PeelReference.localColorfulSupports(g, colors, (_, _) => true)
     val uv = (g.ids.indexOf(1L), g.ids.indexOf(2L))
     assert(sup(uv) == (3, 4))
-    val groups = ColorfulSupport.localEnhancedGroups(g, colors, (_, _) => true)
+    val groups = PeelReference.localEnhancedGroups(g, colors, (_, _) => true)
     assert(groups(uv) == (1, 2, 2))
     // per Example 3 the edge then fails condition (i) of Lemma 4 at k = 4
     assert(LocalReductions.enSupViolated(0, 0, 1, 2, 2, k = 4))
@@ -97,7 +97,7 @@ class ColorfulSupportSpec extends SparkSpec {
       val (lg, colors, ag, cdf) = colored(seed + 10)
       val dist = ColorfulSupport.colorfulSupports(ag, cdf).collect()
         .map(r => (r.getLong(0), r.getLong(1)) -> (r.getInt(2), r.getInt(3))).toMap
-      val local = ColorfulSupport.localColorfulSupports(lg, colors, (_, _) => true)
+      val local = PeelReference.localColorfulSupports(lg, colors, (_, _) => true)
       assert(dist.size == local.size)
       local.foreach { case ((u, v), s) =>
         val key = (math.min(lg.ids(u), lg.ids(v)), math.max(lg.ids(u), lg.ids(v)))
@@ -111,7 +111,7 @@ class ColorfulSupportSpec extends SparkSpec {
       val (lg, colors, ag, cdf) = colored(seed + 40)
       val dist = ColorfulSupport.enhancedGroups(ag, cdf).collect()
         .map(r => (r.getLong(0), r.getLong(1)) -> (r.getInt(2), r.getInt(3), r.getInt(4))).toMap
-      val local = ColorfulSupport.localEnhancedGroups(lg, colors, (_, _) => true)
+      val local = PeelReference.localEnhancedGroups(lg, colors, (_, _) => true)
       assert(dist.size == local.size)
       local.foreach { case ((u, v), s) =>
         val key = (math.min(lg.ids(u), lg.ids(v)), math.max(lg.ids(u), lg.ids(v)))
@@ -133,8 +133,8 @@ class ColorfulSupportSpec extends SparkSpec {
 
   test("enhanced support sum never exceeds the plain support sum") {
     val (lg, colors, _, _) = colored(99)
-    val sup = ColorfulSupport.localColorfulSupports(lg, colors, (_, _) => true)
-    val grp = ColorfulSupport.localEnhancedGroups(lg, colors, (_, _) => true)
+    val sup = PeelReference.localColorfulSupports(lg, colors, (_, _) => true)
+    val grp = PeelReference.localEnhancedGroups(lg, colors, (_, _) => true)
     sup.keys.foreach { e =>
       val (sA, sB) = sup(e)
       val (cA, cB, cM) = grp(e)

@@ -148,7 +148,7 @@ class PipelineSpec extends SparkSpec {
     val config = Pipeline.Config(Bounds.BoundConfig(ad = true), useHeuristic = true)
     val (res, jobs) = jobsDuring(Pipeline.run(spark, g, 3, 2, config))
     assert(res.size >= 10)
-    assert(jobs <= 2, s"$jobs Spark jobs")
+    assert(jobs == 1, s"$jobs Spark jobs")
   }
 
   test("searchReduced starts no Spark job") {
@@ -185,6 +185,48 @@ class PipelineSpec extends SparkSpec {
 
   test("pipeline rejects a duplicate vertex id") {
     rejects(graphOf(Seq(1L -> 0, 2L -> 1, 2L -> 0), Seq((1L, 2L))), "duplicate vertex id 2")
+  }
+
+  test("pipeline rejects a null vertex id") {
+    import spark.implicits._
+    rejects(AttributedGraph(Seq((Some(1L), 0), (None, 1)).toDF("id", "attr"),
+      Seq((1L, 2L)).toDF("src", "dst")), "vertices column 'id' holds a null")
+  }
+
+  test("pipeline rejects a null attribute") {
+    import spark.implicits._
+    rejects(AttributedGraph(Seq((1L, Some(0)), (2L, None)).toDF("id", "attr"),
+      Seq((1L, 2L)).toDF("src", "dst")), "vertices column 'attr' holds a null")
+  }
+
+  test("pipeline rejects a null edge endpoint") {
+    import spark.implicits._
+    val vs = Seq(1L -> 0, 2L -> 1).toDF("id", "attr")
+    rejects(AttributedGraph(vs, Seq((Option.empty[Long], 2L)).toDF("src", "dst")),
+      "edges column 'src' holds a null")
+    rejects(AttributedGraph(vs, Seq((1L, Option.empty[Long])).toDF("src", "dst")),
+      "edges column 'dst' holds a null")
+  }
+
+  test("pipeline rejects a vertex id column that is not long") {
+    import spark.implicits._
+    rejects(AttributedGraph(Seq(1 -> 0, 2 -> 1).toDF("id", "attr"),
+      Seq((1L, 2L)).toDF("src", "dst")), "vertices column 'id' must be long, got integer")
+  }
+
+  test("pipeline rejects an attribute column that is not int") {
+    import spark.implicits._
+    rejects(AttributedGraph(Seq(1L -> 0L, 2L -> 1L).toDF("id", "attr"),
+      Seq((1L, 2L)).toDF("src", "dst")), "vertices column 'attr' must be integer, got long")
+  }
+
+  test("pipeline rejects an edge endpoint column that is not long") {
+    import spark.implicits._
+    val vs = Seq(1L -> 0, 2L -> 1).toDF("id", "attr")
+    rejects(AttributedGraph(vs, Seq((1, 2L)).toDF("src", "dst")),
+      "edges column 'src' must be long, got integer")
+    rejects(AttributedGraph(vs, Seq((1L, "2")).toDF("src", "dst")),
+      "edges column 'dst' must be long, got string")
   }
 
   private def rejectsParams(k: Int, delta: Int, expected: String): Unit = {

@@ -31,9 +31,35 @@ class ReductionsSpec extends SparkSpec {
     test(s"incremental Algorithm 1 equals batch peeling (seed $seed, k=$k)") {
       val (lg, colors, _, _) = colored(seed + 500, n = 40, p = 0.25)
       assert(localEdgeSet(LocalReductions.colorfulSup(lg, colors, k)) ==
-        localEdgeSet(LocalReductions.colorfulSupBatch(lg, colors, k)))
+        localEdgeSet(PeelReference.colorfulSupBatch(lg, colors, k)))
       assert(localEdgeSet(LocalReductions.enColorfulSup(lg, colors, k)) ==
-        localEdgeSet(LocalReductions.enColorfulSupBatch(lg, colors, k)))
+        localEdgeSet(PeelReference.enColorfulSupBatch(lg, colors, k)))
+    }
+  }
+
+  /** 70 vertices: a block of 36 with edge probability 0.85 in sparse noise,
+    * so peels cascade and edges see many apex colours of both attributes.
+    */
+  private def denseBlock(seed: Int): (LocalGraph, Array[Int]) = {
+    val rnd = new scala.util.Random(seed)
+    val attrs = (1L to 70L).map(_ -> rnd.nextInt(2)).toMap
+    val edges = for {
+      u <- 1 to 70
+      v <- u + 1 to 70
+      if rnd.nextDouble() < (if (v <= 36) 0.85 else 0.08)
+    } yield (u.toLong, v.toLong)
+    val lg = LocalGraph.fromEdges(edges, attrs)
+    (lg, Coloring.greedyLocal(lg))
+  }
+
+  for (seed <- 1 to 6; k <- 2 to 6) {
+    test(s"incremental Algorithm 1 equals batch peeling on a dense block (seed $seed, k=$k)") {
+      val (lg, colors) = denseBlock(seed)
+      val sup = LocalReductions.colorfulSup(lg, colors, k)
+      val en = LocalReductions.enColorfulSup(lg, colors, k)
+      assert(localEdgeSet(sup) == localEdgeSet(PeelReference.colorfulSupBatch(lg, colors, k)))
+      assert(localEdgeSet(en) == localEdgeSet(PeelReference.enColorfulSupBatch(lg, colors, k)))
+      assert(sup.m < lg.m && en.m > 0, s"peeled ${lg.m} to ${sup.m} and ${en.m} edges")
     }
   }
 
@@ -59,7 +85,7 @@ class ReductionsSpec extends SparkSpec {
     test(s"ColorfulSup fixpoint satisfies all Lemma 3 conditions (seed $seed, k=$k)") {
       val (lg, colors, _, _) = colored(seed + 40)
       val red = LocalReductions.colorfulSup(lg, colors, k)
-      val sup = ColorfulSupport.localColorfulSupports(red, colors, (_, _) => true)
+      val sup = PeelReference.localColorfulSupports(red, colors, (_, _) => true)
       sup.foreach { case ((u, v), (sA, sB)) =>
         assert(!LocalReductions.supViolated(red.attr(u), red.attr(v), sA, sB, k))
       }
@@ -70,7 +96,7 @@ class ReductionsSpec extends SparkSpec {
     test(s"EnColorfulSup fixpoint satisfies all Lemma 4 conditions (seed $seed, k=$k)") {
       val (lg, colors, _, _) = colored(seed + 60)
       val red = LocalReductions.enColorfulSup(lg, colors, k)
-      val grp = ColorfulSupport.localEnhancedGroups(red, colors, (_, _) => true)
+      val grp = PeelReference.localEnhancedGroups(red, colors, (_, _) => true)
       grp.foreach { case ((u, v), (cA, cB, cM)) =>
         assert(!LocalReductions.enSupViolated(red.attr(u), red.attr(v), cA, cB, cM, k))
       }

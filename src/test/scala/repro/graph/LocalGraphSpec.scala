@@ -2,6 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.core.PeelReference
 import repro.synth.GraphGen
 
 import scala.util.Random
@@ -82,7 +83,7 @@ class LocalGraphSpec extends AnyFunSuite {
 
   test("withoutEdges removes undirected edges both ways") {
     val g = triangleWithTail
-    val s = g.withoutEdges(Set((0, 2), (2, 3)))
+    val s = PeelReference.withoutEdges(g, Set((0, 2), (2, 3)))
     assert(s.m == 2)
     assert(!s.hasEdge(0, 2) && !s.hasEdge(2, 0) && !s.hasEdge(2, 3))
   }
