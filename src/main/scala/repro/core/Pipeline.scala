@@ -14,11 +14,15 @@ import repro.graph.{AttributedGraph, LocalGraph}
   *    `LocalGraph`.
   * 2. Optionally seed `R*` (the paper's Remark in Section V) with
   *    HeurRFC's clique on the reduced graph and, per component, with the
-  *    ego seed pass of `Search.maxRFC`, whichever is larger.
+  *    ego seed pass of `Search.maxRFC`, whichever is larger. HeurRFC is
+  *    handed to `Search.maxRFC` unevaluated: a parallel search runs it on
+  *    a helper thread while the calling thread splits the graph into
+  *    components and builds the first one's peel order.
   * 3. Branch-and-bound (`Search.maxRFC`) on the driver: components one
   *    after another, the root branches of each searched by parallel
-  *    threads that share one live incumbent. The clique is the one the
-  *    one-thread search returns (`Search.maxRFC` explains the tie rule).
+  *    threads that share one live incumbent. The clique, and the seed
+  *    size, are those of the one-thread search (`Search.maxRFC` explains
+  *    the tie rule).
   */
 object Pipeline {
 
@@ -73,15 +77,14 @@ object Pipeline {
                     config: Config,
                     stats: Seq[Reductions.Stats] = Seq.empty): Result = {
     checkParams(k, delta)
-    val heur =
-      if (config.useHeuristic) Heuristics.heurRFC(lg, k, delta).clique
-      else Array.empty[Int]
     val parallelism =
       if (config.distributedSearch)
         math.min(spark.sparkContext.defaultParallelism, Runtime.getRuntime.availableProcessors)
       else 1
-    val res = Search.maxRFC(lg, k, delta, config.bounds, heur, parallelism = parallelism,
-      egoSeed = config.useHeuristic)
+    // evaluated by the search, beside its first peel order when parallel
+    val res = Search.maxRFC(lg, k, delta, config.bounds,
+      if (config.useHeuristic) Heuristics.heurRFC(lg, k, delta).clique else Array.empty,
+      parallelism = parallelism, egoSeed = config.useHeuristic)
     Result(res.clique.map(lg.ids).sorted, lg.n.toLong, lg.m, res.seedSize, res.nodes,
       res.prunedByBound, res.truncated, stats)
   }

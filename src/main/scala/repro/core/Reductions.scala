@@ -93,22 +93,19 @@ object Reductions {
   final case class Stats(stage: String, vertices: Long, edges: Long)
 
   /** One cascade stage, runnable on either side of the size switch:
-    * `distributed` peels DataFrames, `local` peels on the driver and
-    * returns the surviving graph with its vertices' colors.
+    * `distributed` peels DataFrames, `local` peels the driver's live graph.
     */
   private[core] final case class Stage(
       name: String,
       distributed: (AttributedGraph, DataFrame, Int) => AttributedGraph,
-      local: (LocalGraph, Array[Int], Int) => (LocalGraph, Array[Int]))
+      local: (LocalReductions.DriverCascade, Int) => Unit)
 
   /** Algorithm 2 lines 1–3, in order. */
   private[core] val stages: Seq[Stage] = Seq(
     Stage("EnColorfulCore", (g, c, k) => ColorfulDegrees.enColorfulCore(g, c, k - 1),
-      LocalReductions.enColorfulCoreStep),
-    Stage("ColorfulSup", (g, c, k) => colorfulSupReduce(g, c, k),
-      LocalReductions.colorfulSupStep),
-    Stage("EnColorfulSup", (g, c, k) => enColorfulSupReduce(g, c, k),
-      LocalReductions.enColorfulSupStep))
+      _.enColorfulCore(_)),
+    Stage("ColorfulSup", (g, c, k) => colorfulSupReduce(g, c, k), _.colorfulSup(_)),
+    Stage("EnColorfulSup", (g, c, k) => enColorfulSupReduce(g, c, k), _.enColorfulSup(_)))
 
   /** Live edge count at or under which [[cascade]] runs its remaining
     * stages on the driver. The driver-side peel (`LocalReductions`) keeps
@@ -199,6 +196,9 @@ object LocalReductions {
     * keys of attribute a / b with a positive count, `cM(e)` its colours
     * with both; a count that drops to 0 updates them in O(1), its colour's
     * other key being the neighbouring slot.
+    *
+    * Peels may follow one another: each starts from the edges the earlier
+    * ones kept, whose counts are exact in the graph those edges form.
     */
   private final class ApexCounts(g: LocalGraph, colors: Array[Int]) {
     private val n = g.n
@@ -206,8 +206,8 @@ object LocalReductions {
     private val start = new Array[Int](n + 1)
     for (u <- 0 until n) start(u + 1) = start(u) + g.degree(u)
     private val eid = new Array[Int](start(n))
-    val eu = new Array[Int](m)
-    val ev = new Array[Int](m)
+    private val eu = new Array[Int](m)
+    private val ev = new Array[Int](m)
     locally {
       // u's slot for a smaller neighbour v was filled when v came up: the
       // smaller neighbours head u's sorted list in ascending order
@@ -229,9 +229,9 @@ object LocalReductions {
     // mark(w): w's position in the list of the vertex being intersected, else -1
     private val mark = Array.fill(n)(-1)
     private val off = new Array[Int](m + 1)
-    val dA = new Array[Int](m)
-    val dB = new Array[Int](m)
-    val cM = new Array[Int](m)
+    private val dA = new Array[Int](m)
+    private val dB = new Array[Int](m)
+    private val cM = new Array[Int](m)
     private val apex: Array[Int] = {
       val keys = if (n == 0) 0 else key.max + 1
       // one edge's apex keys as bits, and their counts
@@ -325,15 +325,27 @@ object LocalReductions {
       true
     }
 
-    /** Peels every edge that is `violated`, or becomes so as triangles
-      * die, and returns the graph of the others. Each triangle is
-      * subtracted once, when its first edge is processed: by the time a
-      * second one is, the triangle has a dead edge and is skipped. A
-      * queued edge still counts as live until it is processed.
+    // edges a peel has processed (`dead`) or put on its worklist (`queued`);
+    // the two are equal between peels
+    private val queued = new java.util.BitSet(m)
+    private val dead = new java.util.BitSet(m)
+
+    /** Lemma 3 on edge `e`'s colorful supports. */
+    def supViolated(e: Int, k: Int): Boolean =
+      LocalReductions.supViolated(g.attr(eu(e)), g.attr(ev(e)), dA(e), dB(e), k)
+
+    /** Lemma 4 on edge `e`'s enhanced colour groups. */
+    def enSupViolated(e: Int, k: Int): Boolean =
+      LocalReductions.enSupViolated(g.attr(eu(e)), g.attr(ev(e)),
+        dA(e) - cM(e), dB(e) - cM(e), cM(e), k)
+
+    /** Peels every kept edge that is `violated`, or becomes so as
+      * triangles die. Each triangle is subtracted once, when its first
+      * edge is processed: by the time a second one is, the triangle has a
+      * dead edge and is skipped. A queued edge still counts as live until
+      * it is processed.
       */
-    def peel(violated: Int => Boolean): LocalGraph = {
-      val queued = new java.util.BitSet(m)
-      val dead = new java.util.BitSet(m)
+    def peel(violated: Int => Boolean): Unit = {
       val worklist = new Array[Int](m)
       var tail = 0
       def check(e: Int): Unit =
@@ -363,67 +375,106 @@ object LocalReductions {
         }
         setMarks(u, on = false)
       }
+    }
+
+    /** `g` with the edges kept so far. */
+    def kept: LocalGraph = {
       val adj = Array.tabulate(n) { u =>
         val nb = g.adj(u)
-        val kept = new Array[Int](nb.length)
+        val out = new Array[Int](nb.length)
         var len = 0
-        for (j <- nb.indices if !queued.get(eid(start(u) + j))) { kept(len) = nb(j); len += 1 }
-        java.util.Arrays.copyOf(kept, len)
+        for (j <- nb.indices if !dead.get(eid(start(u) + j))) { out(len) = nb(j); len += 1 }
+        java.util.Arrays.copyOf(out, len)
       }
       new LocalGraph(g.ids, g.attr, adj)
+    }
+
+    /** The vertices that carry a kept edge, and the kept edges. */
+    def stats(stage: String): Reductions.Stats = {
+      val touched = new java.util.BitSet(n)
+      var e = dead.nextClearBit(0)
+      while (e < m) { touched.set(eu(e)); touched.set(ev(e)); e = dead.nextClearBit(e + 1) }
+      Reductions.Stats(stage, touched.cardinality.toLong, (m - dead.cardinality).toLong)
     }
   }
 
   /** ColorfulSup reduction (Algorithm 1) on a local graph. */
   def colorfulSup(g: LocalGraph, colors: Array[Int], k: Int): LocalGraph = {
     val c = new ApexCounts(g, colors)
-    c.peel(e => supViolated(g.attr(c.eu(e)), g.attr(c.ev(e)), c.dA(e), c.dB(e), k))
+    c.peel(c.supViolated(_, k))
+    c.kept
   }
 
   /** EnColorfulSup reduction (Lemma 4) on a local graph. */
   def enColorfulSup(g: LocalGraph, colors: Array[Int], k: Int): LocalGraph = {
     val c = new ApexCounts(g, colors)
-    c.peel(e => enSupViolated(g.attr(c.eu(e)), g.attr(c.ev(e)),
-      c.dA(e) - c.cM(e), c.dB(e) - c.cM(e), c.cM(e), k))
+    c.peel(c.enSupViolated(_, k))
+    c.kept
   }
 
-  /** EnColorfulCore stage (Lemma 2 at `k − 1`): the subgraph induced by
-    * the surviving vertices, and their colors.
+  /** The driver side of the cascade: a live graph, with its vertices'
+    * colors, that the stages peel in turn. Edge stages in a row peel one
+    * [[ApexCounts]]: EnColorfulSup starts from ColorfulSup's fixpoint,
+    * whose apex counts are exact for every kept edge, so it continues
+    * that peel instead of rebuilding the counts.
     */
-  def enColorfulCoreStep(g: LocalGraph, colors: Array[Int], k: Int): (LocalGraph, Array[Int]) = {
-    val kept = ColorfulDegrees.localEnColorfulCoreVertices(g, colors, k - 1)
-    (g.inducedSubgraph(kept), kept.map(colors))
+  private[core] final class DriverCascade(g: LocalGraph, colors: Array[Int]) {
+    private var cur = g
+    private var curColors = colors
+    // the edge peel over `cur` that the last stages ran, if any: the live
+    // graph is its kept edges, on the vertices that carry one
+    private var edgePeel: ApexCounts = null
+
+    /** The live graph and its vertices' colors. */
+    def graph: (LocalGraph, Array[Int]) = {
+      if (edgePeel != null) {
+        val peeled = edgePeel.kept
+        val live = (0 until peeled.n).filter(peeled.degree(_) > 0).toArray
+        cur = peeled.inducedSubgraph(live)
+        curColors = live.map(curColors)
+        edgePeel = null
+      }
+      (cur, curColors)
+    }
+
+    /** EnColorfulCore (Lemma 2 at `k − 1`): the subgraph induced by the
+      * surviving vertices.
+      */
+    def enColorfulCore(k: Int): Unit = {
+      val (h, c) = graph
+      val kept = ColorfulDegrees.localEnColorfulCoreVertices(h, c, k - 1)
+      cur = h.inducedSubgraph(kept)
+      curColors = kept.map(c)
+    }
+
+    /** ColorfulSup: the edges [[colorfulSup]] keeps. */
+    def colorfulSup(k: Int): Unit = peelEdges(_.supViolated(_, k))
+
+    /** EnColorfulSup: the edges [[enColorfulSup]] keeps. */
+    def enColorfulSup(k: Int): Unit = peelEdges(_.enSupViolated(_, k))
+
+    private def peelEdges(violated: (ApexCounts, Int) => Boolean): Unit = {
+      if (edgePeel == null) edgePeel = new ApexCounts(cur, curColors)
+      val c = edgePeel
+      c.peel(violated(c, _))
+    }
+
+    /** The live graph's size: vertices that carry an edge after an edge
+      * stage, all of them after a vertex stage.
+      */
+    def stats(stage: String): Reductions.Stats =
+      if (edgePeel != null) edgePeel.stats(stage) else Reductions.Stats(stage, cur.n.toLong, cur.m)
   }
 
-  /** ColorfulSup stage: [[colorfulSup]] restricted to the vertices that
-    * still carry edges, and their colors.
+  /** Runs `stages` in order on the driver, with per-stage statistics;
+    * the graph comes back restricted to vertices that still carry edges
+    * if the last stage peeled edges.
     */
-  def colorfulSupStep(g: LocalGraph, colors: Array[Int], k: Int): (LocalGraph, Array[Int]) =
-    withoutIsolated(colorfulSup(g, colors, k), colors)
-
-  /** EnColorfulSup stage: [[enColorfulSup]] restricted to the vertices
-    * that still carry edges, and their colors.
-    */
-  def enColorfulSupStep(g: LocalGraph, colors: Array[Int], k: Int): (LocalGraph, Array[Int]) =
-    withoutIsolated(enColorfulSup(g, colors, k), colors)
-
-  private def withoutIsolated(g: LocalGraph, colors: Array[Int]): (LocalGraph, Array[Int]) = {
-    val live = (0 until g.n).filter(g.degree(_) > 0).toArray
-    (g.inducedSubgraph(live), live.map(colors))
-  }
-
-  /** Runs `stages` in order on the driver, with per-stage statistics. */
   private[core] def runStages(stages: Seq[Reductions.Stage], g: LocalGraph,
                               colors: Array[Int], k: Int): (LocalGraph, Seq[Reductions.Stats]) = {
-    var cur = g
-    var curColors = colors
-    val stats = stages.map { stage =>
-      val (next, nextColors) = stage.local(cur, curColors, k)
-      cur = next
-      curColors = nextColors
-      Reductions.Stats(stage.name, cur.n.toLong, cur.m)
-    }
-    (cur, stats)
+    val live = new DriverCascade(g, colors)
+    val stats = stages.map { stage => stage.local(live, k); live.stats(stage.name) }
+    (live.graph._1, stats)
   }
 
   /** The full cascade on the driver. Returns the reduced graph restricted

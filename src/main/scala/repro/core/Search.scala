@@ -2,7 +2,8 @@ package repro.core
 
 import repro.graph.{Coloring, LocalGraph}
 
-import java.util.concurrent.{LinkedBlockingQueue, ThreadPoolExecutor, TimeUnit}
+import java.util.concurrent.{ExecutionException, FutureTask, LinkedBlockingQueue,
+  ThreadPoolExecutor, TimeUnit}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 
 import scala.collection.mutable
@@ -55,7 +56,19 @@ object Search {
     * one-thread search at `parallelism` 1 only.
     *
     * @param initialBest a known fair clique (e.g. from HeurRFC) used to
-    *                    seed `R*` for pruning; must be fair in `g`.
+    *                    seed `R*` at order 0; must be fair in `g`. It is
+    *                    evaluated once, before any component is searched.
+    *                    At `parallelism` 1 that happens on the calling
+    *                    thread first. Otherwise it runs as a task on a
+    *                    helper thread, so it must be safe to run there,
+    *                    while the calling thread splits `g` into components
+    *                    and builds the peel order of the first one with at
+    *                    least `2k` vertices; if no helper has started the
+    *                    task by then, the calling thread runs it itself.
+    *                    A component the seed leaves too small is not
+    *                    searched, even if its order was built. If it
+    *                    throws, `maxRFC` throws that exception and
+    *                    searches nothing.
     * @param nodeLimit   abort after this many search nodes in a component,
     *                    counted over all its workers; the result is then a
     *                    lower bound flagged truncated.
@@ -70,17 +83,20 @@ object Search {
     */
   def maxRFC(g: LocalGraph, k: Int, delta: Int,
              bounds: Bounds.BoundConfig = Bounds.BoundConfig.none,
-             initialBest: Array[Int] = Array.empty,
+             initialBest: => Array[Int] = Array.empty,
              nodeLimit: Long = Long.MaxValue,
              parallelism: Int = 1,
              egoSeed: Boolean = false): Result = {
     require(parallelism >= 1, s"parallelism must be at least 1, got $parallelism")
-    val best = new Incumbent(initialBest, initialBest.length)
-    var seedSize = initialBest.length
+    val (seed, comps, ahead) =
+      if (parallelism == 1) (initialBest, g.connectedComponents, None)
+      else seedBesideFirstOrder(g, k, initialBest)
+    val best = new Incumbent(seed, seed.length)
+    var seedSize = seed.length
     var nodes = 0L
     var prunedByBound = 0L
     var truncated = false
-    eachComponent(g, k, best) { (po, comp, firstOrder) =>
+    eachComponent(g, comps, k, best, ahead) { (po, comp, firstOrder) =>
       if (egoSeed) seedSize = math.max(seedSize, new EgoSeed(po, comp, k, delta).run(best))
       val search = new ComponentSearch(po, comp, k, delta, bounds, nodeLimit, best, firstOrder)
       search.run(parallelism)
@@ -97,35 +113,65 @@ object Search {
     */
   def egoClique(g: LocalGraph, k: Int, delta: Int): Array[Int] = {
     val best = new Incumbent(Array.empty, 0)
-    eachComponent(g, k, best) { (po, comp, _) =>
+    eachComponent(g, g.connectedComponents, k, best) { (po, comp, _) =>
       new EgoSeed(po, comp, k, delta).run(best)
       true
     }
     best.clique
   }
 
-  /** Calls `visit(peel order, ids in g, order of its first root)` on each
-    * connected component of `g` in turn that is large enough, when reached,
-    * to hold a fair clique beating `best`, until `visit` returns false.
-    * Roots are numbered in search order across components from 1; a seed
-    * clique has order 0.
+  /** Evaluates `seed` as a task on [[pool]] while the calling thread
+    * splits `g` into components and builds the peel order of the first
+    * one with at least `2k` vertices, numbered in `g.connectedComponents`.
+    * The caller then runs the task itself unless a helper has started it,
+    * so it never waits on a queued task. Returns the seed, the components
+    * and that peel order, if any; an exception of `seed` is rethrown as is.
     */
-  private def eachComponent(g: LocalGraph, k: Int, best: Incumbent)
+  private def seedBesideFirstOrder(g: LocalGraph, k: Int, seed: => Array[Int])
+      : (Array[Int], Seq[Array[Int]], Option[(Int, PeelOrder)]) = {
+    val task = new FutureTask[Array[Int]](() => seed)
+    pool.execute(task)
+    val comps = g.connectedComponents
+    val first = comps.indexWhere(_.length >= 2 * k)
+    val ahead =
+      if (first < 0) None else Some((first, peelOrderOf(g, comps(first), Array.fill(g.n)(-1))))
+    // does nothing if a helper has started the task
+    task.run()
+    val clique = try task.get() catch { case e: ExecutionException => throw e.getCause }
+    (clique, comps, ahead)
+  }
+
+  /** The peel order of component `comp` of `g`; `pos` is scratch for
+    * `g.inducedSubgraph`, which needs `comp` ascending, as
+    * `connectedComponents` lists it.
+    */
+  private def peelOrderOf(g: LocalGraph, comp: Array[Int], pos: => Array[Int]): PeelOrder =
+    // a component holding every vertex is g itself, and comp(v) == v
+    new PeelOrder(if (comp.length == g.n) g else g.inducedSubgraph(comp, pos))
+
+  /** Calls `visit(peel order, ids in g, order of its first root)` on each
+    * component of `g` in `comps` (`g.connectedComponents`) in turn that is
+    * large enough, when reached, to hold a fair clique beating `best`,
+    * until `visit` returns false. `ahead` is a component's index and its
+    * peel order, built before `best` was seeded. Roots are numbered in
+    * search order across components from 1; a seed clique has order 0.
+    */
+  private def eachComponent(g: LocalGraph, comps: Seq[Array[Int]], k: Int, best: Incumbent,
+                            ahead: Option[(Int, PeelOrder)] = None)
                            (visit: (PeelOrder, Array[Int], Int) => Boolean): Unit = {
     var firstOrder = 1
     var going = true
-    val comps = g.connectedComponents.iterator
-    // shared by the component copies; connectedComponents lists each
-    // component ascending, as the pos overload of inducedSubgraph needs
+    var i = 0
+    // shared by the component copies
     lazy val pos = Array.fill(g.n)(-1)
-    while (comps.hasNext && going) {
-      val comp = comps.next()
+    while (i < comps.length && going) {
+      val comp = comps(i)
       if (comp.length >= math.max(2 * k, best.size + 1)) {
-        // a component holding every vertex is g itself, and comp(v) == v
-        val sub = if (comp.length == g.n) g else g.inducedSubgraph(comp, pos)
-        going = visit(new PeelOrder(sub), comp, firstOrder)
+        val po = ahead.collect { case (j, built) if j == i => built }
+        going = visit(po.getOrElse(peelOrderOf(g, comp, pos)), comp, firstOrder)
       }
       firstOrder += comp.length
+      i += 1
     }
   }
 
@@ -453,7 +499,7 @@ object Search {
     * use. They are daemon threads, so a search never keeps the JVM alive,
     * and idle ones exit.
     */
-  private lazy val pool: ThreadPoolExecutor = {
+  private[core] lazy val pool: ThreadPoolExecutor = {
     val threads = Runtime.getRuntime.availableProcessors
     val made = new AtomicInteger
     val p = new ThreadPoolExecutor(threads, threads, 30L, TimeUnit.SECONDS,

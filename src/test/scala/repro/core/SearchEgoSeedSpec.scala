@@ -11,7 +11,7 @@ import repro.synth.GraphGen
   * reference's nodes at parallelism 1.
   */
 class SearchEgoSeedSpec extends AnyFunSuite {
-  import SearchKernelSpec.{graph, graphs, seeds}
+  import SearchKernelSpec.{disjointUnion, graph, graphs, seeds}
 
   private val pipelineBounds = Bounds.BoundConfig(ad = true, colorfulDegeneracy = true)
 
@@ -57,15 +57,6 @@ class SearchEgoSeedSpec extends AnyFunSuite {
       }
       assert(seeded < reference, s"the pass saved no node: $seeded vs $reference")
     }
-  }
-
-  /** The disjoint union of `parts`, in order, with ids 0 until the total. */
-  private def disjointUnion(parts: Seq[LocalGraph]): LocalGraph = {
-    val offsets = parts.scanLeft(0)(_ + _.n)
-    new LocalGraph(
-      Array.range(0, offsets.last).map(_.toLong),
-      parts.flatMap(_.attr).toArray,
-      parts.zip(offsets).flatMap { case (g, o) => g.adj.map(_.map(_ + o)) }.toArray)
   }
 
   test("ego-seeded search over several components") {

@@ -135,7 +135,7 @@ class SearchKernelSpec extends AnyFunSuite {
   }
 }
 
-/** The seeded graphs the kernel specs share. */
+/** The seeded graphs the kernel specs share, and their disjoint unions. */
 object SearchKernelSpec {
 
   val seeds: Range = 1 to 40
@@ -150,5 +150,14 @@ object SearchKernelSpec {
     case "250" => GraphGen.randomLocal(250, 0.2, seed + 2000)
     case "250+K80" =>
       GraphGen.randomLocalWithClique(250, 0.08, GraphGen.Planted(80, 40), seed + 3000)._1
+  }
+
+  /** The disjoint union of `parts`, in order, with ids 0 until the total. */
+  def disjointUnion(parts: Seq[LocalGraph]): LocalGraph = {
+    val offsets = parts.scanLeft(0)(_ + _.n)
+    new LocalGraph(
+      Array.range(0, offsets.last).map(_.toLong),
+      parts.flatMap(_.attr).toArray,
+      parts.zip(offsets).flatMap { case (g, o) => g.adj.map(_.map(_ + o)) }.toArray)
   }
 }
