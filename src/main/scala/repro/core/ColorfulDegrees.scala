@@ -8,8 +8,13 @@ import repro.graph.{AttributedGraph, LocalGraph}
 /** Colorful degree (Definition 2), enhanced colorful degree (Definition 4)
   * and the vertex-level reductions built from them: the colorful k-core
   * (Definition 3 / Lemma 1) and the enhanced colorful k-core
-  * (Definition 5 / Lemma 2). Distributed DataFrame implementations plus
-  * local mirrors used for cross-validation and fast bench sweeps.
+  * (Definition 5 / Lemma 2).
+  *
+  * The DataFrame forms project one aggregate, a vertex's colour groups
+  * `(cA, cB, cM)`, and the two cores peel it in `Reductions.peel`. The
+  * driver-side forms serve the driver cascade's EnColorfulCore stage, the
+  * bounds and heuristics, and the colorful-core peel order of the search;
+  * the batch core peels also cross-check the DataFrame ones.
   *
   * `ED(u)` uses the optimal mixed-color assignment closed form
   * `min(c_a + c_m, c_b + c_m, ⌊(c_a + c_b + c_m) / 2⌋)` where `c_a`/`c_b`
@@ -19,46 +24,25 @@ import repro.graph.{AttributedGraph, LocalGraph}
 object ColorfulDegrees {
 
   /** Distributed colorful degrees: `(id, dA, dB)` — distinct neighbour
-    * colors per attribute; vertices without neighbours get zeros.
+    * colors per attribute, `dA = cA + cM` and `dB = cB + cM` of the
+    * vertex's colour groups; vertices without neighbours get zeros.
     */
-  def colorfulDegrees(g: AttributedGraph, colors: DataFrame): DataFrame = {
-    val nbr = g.symmetricEdges.alias("e")
-      .join(g.vertices.alias("v"), col("e.y") === col("v.id"))
-      .join(colors.alias("c"), col("e.y") === col("c.id"))
-      .select(col("e.x").as("id"), col("v.attr").as("nattr"), col("c.color").as("ncolor"))
-    val agg = nbr.groupBy("id").agg(
-      countDistinct(when(col("nattr") === 0, col("ncolor"))).as("dA"),
-      countDistinct(when(col("nattr") === 1, col("ncolor"))).as("dB"))
-    g.vertices.select("id")
-      .join(agg, Seq("id"), "left")
-      .select(col("id"),
-        coalesce(col("dA"), lit(0L)).cast("int").as("dA"),
-        coalesce(col("dB"), lit(0L)).cast("int").as("dB"))
-  }
+  def colorfulDegrees(g: AttributedGraph, colors: DataFrame): DataFrame =
+    colorGroups(g, colors).select(col("id"),
+      (col("cA") + col("cM")).as("dA"), (col("cB") + col("cM")).as("dB"))
 
   /** Distributed enhanced colorful degree: `(id, cA, cB, cM, ed)`. */
-  def enhancedDegrees(g: AttributedGraph, colors: DataFrame): DataFrame = {
-    val nbr = g.symmetricEdges.alias("e")
-      .join(g.vertices.alias("v"), col("e.y") === col("v.id"))
-      .join(colors.alias("c"), col("e.y") === col("c.id"))
-      .select(col("e.x").as("id"), col("v.attr").as("nattr"), col("c.color").as("ncolor"))
-    val perColor = nbr.groupBy(col("id"), col("ncolor")).agg(
-      max(when(col("nattr") === 0, 1).otherwise(0)).as("hasA"),
-      max(when(col("nattr") === 1, 1).otherwise(0)).as("hasB"))
-    val agg = perColor.groupBy("id").agg(
-      sum(when(col("hasA") === 1 && col("hasB") === 0, 1).otherwise(0)).cast("int").as("cA"),
-      sum(when(col("hasA") === 0 && col("hasB") === 1, 1).otherwise(0)).cast("int").as("cB"),
-      sum(when(col("hasA") === 1 && col("hasB") === 1, 1).otherwise(0)).cast("int").as("cM"))
-    g.vertices.select("id")
-      .join(agg, Seq("id"), "left")
-      .select(col("id"),
-        coalesce(col("cA"), lit(0)).as("cA"),
-        coalesce(col("cB"), lit(0)).as("cB"),
-        coalesce(col("cM"), lit(0)).as("cM"))
-      .withColumn("ed",
-        least(col("cA") + col("cM"), col("cB") + col("cM"),
-          floor((col("cA") + col("cB") + col("cM")) / 2).cast("int")))
-  }
+  def enhancedDegrees(g: AttributedGraph, colors: DataFrame): DataFrame =
+    colorGroups(g, colors).withColumn("ed",
+      least(col("cA") + col("cM"), col("cB") + col("cM"),
+        floor((col("cA") + col("cB") + col("cM")) / 2).cast("int")))
+
+  /** `(id, cA, cB, cM)`: the colours of each vertex's neighbours seen only
+    * on attribute a, only on b, and on both.
+    */
+  private[core] def colorGroups(g: AttributedGraph, colors: DataFrame): DataFrame =
+    ColorfulSupport.colorGroups(g, colors, g.vertices.select("id"),
+      g.symmetricEdges.select(col("x").as("id"), col("y").as("w")))
 
   /** `ED` closed form on scalar group counts (shared with local code). */
   def edOf(cA: Int, cB: Int, cM: Int): Int =
@@ -71,41 +55,16 @@ object ColorfulDegrees {
     */
   def colorfulCore(g: AttributedGraph, colors: DataFrame, threshold: Int,
                    maxIter: Int = 1000): AttributedGraph =
-    peelVertices(g, maxIter) { cur =>
-      colorfulDegrees(cur, colors)
-        .where(least(col("dA"), col("dB")) >= threshold)
-        .select("id")
-    }
+    Reductions.peel(g, colors, edgeLevel = false, maxIter)(
+      ColorfulSupport.keeps((lit(threshold), lit(threshold)), enhanced = false))
 
   /** Enhanced colorful core: keep vertices with `ED >= threshold`
     * (Lemma 2 reduction for parameter `k` uses `threshold = k − 1`).
     */
   def enColorfulCore(g: AttributedGraph, colors: DataFrame, threshold: Int,
                      maxIter: Int = 1000): AttributedGraph =
-    peelVertices(g, maxIter) { cur =>
-      enhancedDegrees(cur, colors)
-        .where(col("ed") >= threshold)
-        .select("id")
-    }
-
-  private def peelVertices(g: AttributedGraph, maxIter: Int)
-                          (survivors: AttributedGraph => DataFrame): AttributedGraph = {
-    var cur = g.checkpointed()
-    var before = cur.vertices.count()
-    var changed = true
-    var round = 0
-    while (changed && round < maxIter) {
-      val nxt = cur.inducedBy(survivors(cur)).checkpointed()
-      val after = nxt.vertices.count()
-      changed = after != before
-      before = after
-      cur = nxt
-      round += 1
-    }
-    if (changed)
-      throw new IllegalStateException(s"vertex peeling did not reach a fixpoint in $maxIter rounds")
-    cur
-  }
+    Reductions.peel(g, colors, edgeLevel = false, maxIter)(
+      ColorfulSupport.keeps((lit(threshold), lit(threshold)), enhanced = true))
 
   // ---------------------------------------------------------------- local
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 import repro.graph.AttributedGraph
@@ -14,7 +14,9 @@ import repro.graph.AttributedGraph
   * partitions the common-neighbour colors into exclusive-a (`cA`),
   * exclusive-b (`cB`) and mixed (`cM`) groups and greedily assigns mixed
   * colors (first to a, then to b) against per-edge targets derived from
-  * the endpoint attributes — Lemma 3 / Lemma 4 thresholds.
+  * the endpoint attributes — Lemma 3 / Lemma 4 thresholds. Both supports
+  * are projections of one aggregate per edge, its colour groups
+  * ([[colorGroups]], which the vertex level shares).
   */
 object ColorfulSupport {
 
@@ -23,6 +25,28 @@ object ColorfulSupport {
     case (0, 0) => (k - 2, k)
     case (1, 1) => (k, k - 2)
     case _      => (k - 1, k - 1)
+  }
+
+  /** [[targets]] as Catalyst columns of the endpoint attributes `uattr`
+    * and `vattr`: `(k − 2 + uattr + vattr, k − uattr − vattr)`, which is
+    * the table for attributes 0 and 1.
+    */
+  private[core] def targetCols(k: Int): (Column, Column) = {
+    val ab = col("uattr") + col("vattr")
+    (lit(k - 2) + ab, lit(k) - ab)
+  }
+
+  /** The keep rule of Lemmas 1–4 on the colour groups `cA`, `cB`, `cM` of
+    * a vertex or an edge, against targets `(tA, tB)`: the colorful degrees
+    * or supports `(cA + cM, cB + cM)` meet both and, when `enhanced`, so
+    * does the best mixed-colour assignment (`ED` of Definition 4, the
+    * greedy [[enhancedSup]] of Definition 7), which holds exactly when
+    * also `cA + cB + cM >= tA + tB`.
+    */
+  private[core] def keeps(targets: (Column, Column), enhanced: Boolean): Column = {
+    val (tA, tB) = targets
+    val plain = col("cA") + col("cM") >= tA && col("cB") + col("cM") >= tB
+    if (enhanced) plain && col("cA") + col("cB") + col("cM") >= tA + tB else plain
   }
 
   /** Greedy mixed-color assignment of Definition 7: fill attribute a up to
@@ -76,43 +100,35 @@ object ColorfulSupport {
   }
 
   /** Distributed colorful supports: `(src, dst, supA, supB)` for every
-    * edge (zeros when the edge closes no triangle).
+    * edge (zeros when the edge closes no triangle), `sup_a = cA + cM` and
+    * `sup_b = cB + cM` of its [[enhancedGroups]].
     */
-  def colorfulSupports(g: AttributedGraph, colors: DataFrame): DataFrame = {
-    val wInfo = commonNeighbors(g).alias("t")
-      .join(g.vertices.alias("v"), col("t.w") === col("v.id"))
-      .join(colors.alias("c"), col("t.w") === col("c.id"))
-      .select(col("t.src").as("src"), col("t.dst").as("dst"),
-        col("v.attr").as("wattr"), col("c.color").as("wcolor"))
-    val agg = wInfo.groupBy("src", "dst").agg(
-      countDistinct(when(col("wattr") === 0, col("wcolor"))).cast("int").as("supA"),
-      countDistinct(when(col("wattr") === 1, col("wcolor"))).cast("int").as("supB"))
-    g.edges
-      .join(agg, Seq("src", "dst"), "left")
-      .select(col("src"), col("dst"),
-        coalesce(col("supA"), lit(0)).as("supA"),
-        coalesce(col("supB"), lit(0)).as("supB"))
-  }
+  def colorfulSupports(g: AttributedGraph, colors: DataFrame): DataFrame =
+    enhancedGroups(g, colors).select(col("src"), col("dst"),
+      (col("cA") + col("cM")).as("supA"), (col("cB") + col("cM")).as("supB"))
 
   /** Distributed enhanced-support color groups: `(src, dst, cA, cB, cM)`. */
-  def enhancedGroups(g: AttributedGraph, colors: DataFrame): DataFrame = {
-    val wInfo = commonNeighbors(g).alias("t")
-      .join(g.vertices.alias("v"), col("t.w") === col("v.id"))
-      .join(colors.alias("c"), col("t.w") === col("c.id"))
-      .select(col("t.src").as("src"), col("t.dst").as("dst"),
-        col("v.attr").as("wattr"), col("c.color").as("wcolor"))
-    val perColor = wInfo.groupBy("src", "dst", "wcolor").agg(
-      max(when(col("wattr") === 0, 1).otherwise(0)).as("hasA"),
-      max(when(col("wattr") === 1, 1).otherwise(0)).as("hasB"))
-    val agg = perColor.groupBy("src", "dst").agg(
-      sum(when(col("hasA") === 1 && col("hasB") === 0, 1).otherwise(0)).cast("int").as("cA"),
-      sum(when(col("hasA") === 0 && col("hasB") === 1, 1).otherwise(0)).cast("int").as("cB"),
-      sum(when(col("hasA") === 1 && col("hasB") === 1, 1).otherwise(0)).cast("int").as("cM"))
-    g.edges
-      .join(agg, Seq("src", "dst"), "left")
-      .select(col("src"), col("dst"),
-        coalesce(col("cA"), lit(0)).as("cA"),
-        coalesce(col("cB"), lit(0)).as("cB"),
-        coalesce(col("cM"), lit(0)).as("cM"))
+  def enhancedGroups(g: AttributedGraph, colors: DataFrame): DataFrame =
+    colorGroups(g, colors, g.edges.select("src", "dst"), commonNeighbors(g))
+
+  /** The rows of `keys` with the colour groups `(cA, cB, cM)` of the
+    * vertices `w` that `rows` pairs with them (on the columns of `keys`):
+    * the colours seen only on attribute-a vertices, only on attribute-b
+    * vertices, and on both; zeros for a key without rows. A vertex's `w`
+    * are its neighbours, an edge's its triangle apexes.
+    */
+  private[core] def colorGroups(g: AttributedGraph, colors: DataFrame, keys: DataFrame,
+                                rows: DataFrame): DataFrame = {
+    val key = keys.columns.toSeq
+    val perColor = rows
+      .join(g.vertices.select(col("id").as("w"), col("attr")), "w")
+      .join(colors.select(col("id").as("w"), col("color")), "w")
+      .groupBy((key :+ "color").map(col): _*)
+      .agg(min("attr").as("lo"), max("attr").as("hi"))
+    val groups = perColor.groupBy(key.map(col): _*).agg(
+      count(when(col("hi") === 0, 1)).cast("int").as("cA"),
+      count(when(col("lo") === 1, 1)).cast("int").as("cB"),
+      count(when(col("lo") < col("hi"), 1)).cast("int").as("cM"))
+    keys.join(groups, key, "left").na.fill(0, Seq("cA", "cB", "cM"))
   }
 }

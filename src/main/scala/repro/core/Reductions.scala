@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.graph.{AttributedGraph, Coloring, LocalGraph}
@@ -24,69 +24,52 @@ import scala.collection.mutable
   */
 object Reductions {
 
-  /** Surviving-edge predicate of Lemma 3 (colorful support). */
-  private def supCondition(k: Int) = {
-    val tA = when(col("uattr") === 0 && col("vattr") === 0, lit(k - 2))
-      .when(col("uattr") === 1 && col("vattr") === 1, lit(k))
-      .otherwise(lit(k - 1))
-    val tB = when(col("uattr") === 0 && col("vattr") === 0, lit(k))
-      .when(col("uattr") === 1 && col("vattr") === 1, lit(k - 2))
-      .otherwise(lit(k - 1))
-    col("supA") >= tA && col("supB") >= tB
-  }
-
-  private def withEndpointAttrs(g: AttributedGraph, supports: DataFrame): DataFrame =
-    supports
-      .join(g.vertices.select(col("id").as("src"), col("attr").as("uattr")), Seq("src"))
-      .join(g.vertices.select(col("id").as("dst"), col("attr").as("vattr")), Seq("dst"))
-
   /** ColorfulSup reduction (Lemma 3) as a distributed edge-peeling loop. */
   def colorfulSupReduce(g: AttributedGraph, colors: DataFrame, k: Int,
                         maxIter: Int = 1000): AttributedGraph =
-    peelEdges(g, maxIter) { cur =>
-      withEndpointAttrs(cur, ColorfulSupport.colorfulSupports(cur, colors))
-        .where(supCondition(k))
-        .select("src", "dst")
-    }
+    peel(g, colors, edgeLevel = true, maxIter)(
+      ColorfulSupport.keeps(ColorfulSupport.targetCols(k), enhanced = false))
 
-  /** EnColorfulSup reduction (Lemma 4): enhanced supports from the color
-    * groups via the greedy assignment, expressed as Catalyst columns.
+  /** EnColorfulSup reduction (Lemma 4): the enhanced supports of the
+    * color groups, greedily assigned, as a distributed edge-peeling loop.
     */
   def enColorfulSupReduce(g: AttributedGraph, colors: DataFrame, k: Int,
                           maxIter: Int = 1000): AttributedGraph =
-    peelEdges(g, maxIter) { cur =>
-      val tA = when(col("uattr") === 0 && col("vattr") === 0, lit(k - 2))
-        .when(col("uattr") === 1 && col("vattr") === 1, lit(k))
-        .otherwise(lit(k - 1))
-      val tB = when(col("uattr") === 0 && col("vattr") === 0, lit(k))
-        .when(col("uattr") === 1 && col("vattr") === 1, lit(k - 2))
-        .otherwise(lit(k - 1))
-      val gamma = when(col("cA") < tA, least(tA - col("cA"), col("cM"))).otherwise(lit(0))
-      val supA = col("cA") + gamma
-      val supB = col("cB") +
-        when(col("cB") < tB, least(tB - col("cB"), col("cM") - gamma)).otherwise(lit(0))
-      withEndpointAttrs(cur, ColorfulSupport.enhancedGroups(cur, colors))
-        .where(supA >= tA && supB >= tB)
-        .select("src", "dst")
-    }
+    peel(g, colors, edgeLevel = true, maxIter)(
+      ColorfulSupport.keeps(ColorfulSupport.targetCols(k), enhanced = true))
 
-  private def peelEdges(g: AttributedGraph, maxIter: Int)
-                       (survivors: AttributedGraph => DataFrame): AttributedGraph = {
+  /** The batch peeling fixpoint of the four DataFrame reductions: each
+    * round keeps the vertices (or, with `edgeLevel`, the edges) whose
+    * colour groups satisfy `keep`, materialises them and counts them,
+    * until the count stops changing; throws after `maxIter` rounds without
+    * a fixpoint. Edge groups carry their endpoint attributes `uattr` and
+    * `vattr`; an edge peel drops the vertices it leaves isolated.
+    */
+  private[core] def peel(g: AttributedGraph, colors: DataFrame, edgeLevel: Boolean,
+                         maxIter: Int)(keep: Column): AttributedGraph = {
+    def size(h: AttributedGraph): Long = if (edgeLevel) h.edges.count() else h.vertices.count()
+    def next(h: AttributedGraph): AttributedGraph =
+      if (!edgeLevel)
+        h.inducedBy(ColorfulDegrees.colorGroups(h, colors).where(keep).select("id")).checkpointed()
+      else AttributedGraph(h.vertices, AttributedGraph.refreshed(
+        ColorfulSupport.enhancedGroups(h, colors)
+          .join(h.vertices.select(col("id").as("src"), col("attr").as("uattr")), "src")
+          .join(h.vertices.select(col("id").as("dst"), col("attr").as("vattr")), "dst")
+          .where(keep).select("src", "dst")))
     var cur = g.checkpointed()
-    var before = cur.edges.count()
+    var before = size(cur)
     var changed = before > 0
     var round = 0
     while (changed && round < maxIter) {
-      val keptEdges = AttributedGraph.refreshed(survivors(cur))
-      val after = keptEdges.count()
+      cur = next(cur)
+      val after = size(cur)
       changed = after != before
       before = after
-      cur = AttributedGraph(cur.vertices, keptEdges)
       round += 1
     }
-    if (changed)
-      throw new IllegalStateException(s"edge peeling did not reach a fixpoint in $maxIter rounds")
-    cur.dropIsolated.checkpointed()
+    if (changed) throw new IllegalStateException(
+      s"${if (edgeLevel) "edge" else "vertex"} peeling did not reach a fixpoint in $maxIter rounds")
+    if (edgeLevel) cur.dropIsolated.checkpointed() else cur
   }
 
   /** Reduction statistics for the Fig 4/5 bench. */
@@ -117,7 +100,8 @@ object Reductions {
     * of the collected `LocalGraph`: about 0.14 GB at this limit, a
     * fourteenth of a 2 GB driver heap. The whole driver cascade takes
     * 0.25–0.3 s on pokec-lite, while each DataFrame peel round costs
-    * seconds of fixed Spark overhead.
+    * seconds of fixed Spark overhead. The limit does not bound the
+    * driver's memory for the input, which [[cascade]] always collects.
     */
   val LocalEdgeLimit: Long = 1000000L
 
@@ -132,6 +116,12 @@ object Reductions {
     * peel on the driver. Each stage's surviving subgraph is unique
     * (DESIGN.md §5.6), so the result does not depend on the switch point;
     * `localEdgeLimit = 0` keeps every non-empty stage distributed.
+    *
+    * The input is always collected first (`g.toLocal`) to be coloured, so
+    * the pipeline is bound by driver memory for the whole input: above the
+    * limit the DataFrame stages save only the driver peel's own state,
+    * 55–141 bytes per input edge, on top of the collected `LocalGraph`'s
+    * 47 bytes per edge (both on pokec-lite).
     */
   def cascade(spark: SparkSession, g: AttributedGraph, k: Int,
               localEdgeLimit: Long = LocalEdgeLimit): (LocalGraph, Seq[Stats]) = {

@@ -13,9 +13,9 @@ import java.util.Arrays
   *
   * `vertices`: `(id: Long, attr: Int)` with `attr` 0 (= "a") or 1 (= "b").
   * `edges`: `(src: Long, dst: Long)` canonicalized to `src < dst`, no
-  * self-loops, no duplicates. All reductions consume and produce this
-  * shape, so the reduction cascade (Algorithm 2, lines 1–3) is plain
-  * DataFrame-in / DataFrame-out composition.
+  * self-loops, no duplicates. The DataFrame reductions consume and
+  * produce this shape; the reduction cascade (Algorithm 2, lines 1–3)
+  * collects it with [[toLocal]] and returns a [[LocalGraph]].
   */
 final case class AttributedGraph(vertices: DataFrame, edges: DataFrame) {
 

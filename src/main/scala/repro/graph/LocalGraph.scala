@@ -9,10 +9,10 @@ import scala.collection.mutable
   * (0 = attribute "a", 1 = attribute "b"). Adjacency lists are sorted so
   * membership tests and intersections are `O(log d)` / `O(d1 + d2)`.
   *
-  * The branch-and-bound search, the upper bounds and the heuristics all
-  * operate on this representation (the paper's search runs on the reduced
-  * graph, which is small); the distributed reductions produce one
-  * `LocalGraph` per connected component.
+  * The driver-side reductions, the branch-and-bound search, the upper
+  * bounds and the heuristics all operate on this representation: the
+  * reduction cascade returns the reduced graph as one `LocalGraph`, and
+  * the search splits it into connected components on the driver.
   */
 final class LocalGraph(
     val ids: Array[Long],

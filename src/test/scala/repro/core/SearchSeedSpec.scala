@@ -62,10 +62,17 @@ class SearchSeedSpec extends AnyFunSuite {
     assert(heur(g, k, delta).length == 12)
     for (egoSeed <- Seq(false, true); p <- Seq(1, 2, 4)) {
       val label = s"ego=$egoSeed parallelism=$p"
+      quiescentPool()
+      val before = Search.pool.getTaskCount
       val res = Search.maxRFC(g, k, delta, initialBest = heur(g, k, delta), parallelism = p,
         egoSeed = egoSeed)
       assert(res.size == 12 && res.seedSize == 12, label)
       assert(res.nodes == 0, s"$label: a component was searched")
+      // a visited component drops every root at entry, but hands its
+      // helpers tasks: the seed task is the only one the pool was given
+      quiescentPool()
+      assert(Search.pool.getTaskCount - before == (if (p == 1) 0 else 1),
+        s"$label: a component was visited")
       // without a seed both components are searched
       assert(Search.maxRFC(g, k, delta, parallelism = p).nodes > 0, label)
     }

@@ -1,10 +1,13 @@
 package repro.graph
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.synth.GraphGen
 
-/** Sequential greedy coloring + distributed Jones–Plassmann equivalence. */
-class ColoringSpec extends SparkSpec {
+/** The driver-side greedy coloring: proper, deterministic, and the
+  * (degree desc, id asc) greedy order for any vertex ids.
+  */
+class ColoringSpec extends AnyFunSuite {
 
   for (seed <- 1 to 15) {
     test(s"greedyLocal produces a proper coloring (seed $seed)") {
@@ -73,29 +76,5 @@ class ColoringSpec extends SparkSpec {
 
   test("numColors of empty coloring is 0") {
     assert(Coloring.numColors(Array.empty[Int]) == 0)
-  }
-
-  for (seed <- 1 to 4) {
-    test(s"distributed Jones–Plassmann equals sequential greedy (seed $seed)") {
-      val lg = GraphGen.randomLocal(40, 0.12, seed + 50)
-      val ag = AttributedGraph.fromLocal(spark, lg)
-      val distributed = Coloring.greedyDistributed(spark, ag)
-        .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
-      val sequential = Coloring.greedyLocal(lg)
-      (0 until lg.n).foreach { i =>
-        assert(distributed(lg.ids(i)) == sequential(i),
-          s"vertex ${lg.ids(i)}: dist=${distributed(lg.ids(i))} seq=${sequential(i)}")
-      }
-    }
-  }
-
-  test("distributed coloring handles isolated vertices") {
-    val lg = LocalGraph.fromEdges(Seq((1L, 2L)), Map(1L -> 0, 2L -> 1, 3L -> 0))
-    val ag = AttributedGraph.fromLocal(spark, lg)
-    val colored = Coloring.greedyDistributed(spark, ag)
-      .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
-    assert(colored.keySet == Set(1L, 2L, 3L))
-    assert(colored(1L) != colored(2L))
-    assert(colored(3L) == 0)
   }
 }
